@@ -25,7 +25,7 @@ from .knowledge import (
     select_object_pair,
     select_single_object,
 )
-from .planner import BoundAction, BoundPlan, PlannerConfig, arity, bind_plan, validate_plan
+from .planner import BoundAction, BoundPlan, arity, bind_plan, validate_plan
 from .pose import (
     Calibration,
     DetectedScene,
@@ -60,7 +60,6 @@ __all__ = [
     "Lexicon",
     "Mask",
     "ObjectPose",
-    "PlannerConfig",
     "PrimitiveStream",
     "SimConfig",
     "TaskSpec",

@@ -20,7 +20,7 @@ from pathlib import Path
 from . import bench as bench_mod
 from . import fixtures
 from .actions import load_label_stream, window_filter
-from .knowledge import EmptyModelError, build_model, load_corpus, load_lexicon, stats_tsv
+from .knowledge import build_model, load_corpus, load_lexicon, stats_tsv
 from .planner import BindingError, bind_plan, dump_plan, load_plan, plan_to_json, validate_plan
 from .pose import load_calibration, load_mask_file, sense_scene
 from .sim import check_success, load_scenario, run_plan, trace_to_jsonl
@@ -62,7 +62,7 @@ def cmd_plan(args: argparse.Namespace) -> int:
         lexicon = load_lexicon(args.lexicon)
         model = build_model(load_corpus(args.corpus), lexicon)
         keys = window_filter(stream, args.window_width)
-    except (OSError, ValueError, KeyError, EmptyModelError) as exc:
+    except (OSError, ValueError, KeyError) as exc:
         _err(str(exc))
         return EXIT_PARSE
     poses = sense_scene(scene, cal)
@@ -133,9 +133,6 @@ def cmd_bench(args: argparse.Namespace) -> int:
 
 
 def cmd_corpus(args: argparse.Namespace) -> int:
-    if args.action != "stats":
-        _err(f"unknown corpus action {args.action!r}")
-        return EXIT_PARSE
     try:
         model = build_model(load_corpus(args.corpus), load_lexicon(args.lexicon))
     except (OSError, ValueError, KeyError) as exc:

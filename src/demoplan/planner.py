@@ -42,7 +42,7 @@ from .pose import ObjectPose
 NORMAL = "normal"
 LOW_CONFIDENCE = "low-confidence"
 
-DEFAULT_CONTAINER_CLASSES = frozenset(
+_CONTAINER_CLASSES = frozenset(
     {"plate", "white plate", "bowl", "cup", "plastic-box", "paper-box"}
 )
 
@@ -53,13 +53,6 @@ class BindingError(RuntimeError):
     def __init__(self, step_index: int, message: str):
         super().__init__(f"step {step_index}: {message}")
         self.step_index = step_index
-
-
-@dataclass(frozen=True)
-class PlannerConfig:
-    """Scenario-level planning knobs: which classes count as containers."""
-
-    container_classes: frozenset[str] = DEFAULT_CONTAINER_CLASSES
 
 
 @dataclass(frozen=True)
@@ -119,7 +112,6 @@ def bind_plan(
     keys: KeySequence,
     poses: Sequence[ObjectPose],
     model: CooccurrenceModel,
-    config: PlannerConfig = PlannerConfig(),
 ) -> BoundPlan:
     """Ground every key primitive against the sensed scene poses.
 
@@ -139,7 +131,7 @@ def bind_plan(
         elif key == ActionPrimitive.MOVE:
             steps.append(None)  # resolved against the next grounded step below
         elif key == ActionPrimitive.PICK:
-            candidates = detected_set - picked - ({holding} if holding else set())
+            candidates = detected_set - picked - {holding}
             if not candidates:
                 raise BindingError(idx, "no candidate object left to pick")
             choice = select_single_object(model, key, candidates)
@@ -149,7 +141,7 @@ def bind_plan(
             picked.add(choice.name)
             holding = choice.name
         elif key == ActionPrimitive.PLACE:
-            candidates = detected_set - ({holding} if holding else set())
+            candidates = detected_set - {holding}
             if not candidates:
                 raise BindingError(idx, "no candidate target for place")
             choice = select_single_object(model, key, candidates)
@@ -170,10 +162,9 @@ def bind_plan(
                         key, primary=_pose_for(poses, choice.name), confidence=_flag(choice.low_confidence)
                     )
                 )
-        elif key == ActionPrimitive.PUSH:
-            candidates = detected_set - picked - ({holding} if holding else set())
+        elif arity(key, holding is not None) == 2:  # push, or tilt with an empty gripper
             try:
-                pair = select_object_pair(model, key, candidates)
+                pair = select_object_pair(model, key, detected_set - picked - {holding})
             except SelectionError as exc:
                 raise BindingError(idx, str(exc)) from None
             steps.append(
@@ -184,33 +175,17 @@ def bind_plan(
                     confidence=_flag(pair.low_confidence),
                 )
             )
-        elif key == ActionPrimitive.TILT:
-            candidates = detected_set - picked - ({holding} if holding else set())
-            if holding is not None:
-                if not candidates:
-                    raise BindingError(idx, "no candidate pour target")
-                ranked = [o for o in rank_objects(model, key) if o in candidates]
-                if ranked:
-                    name, low = ranked[0], False
-                else:
-                    name, low = sorted(candidates)[0], True
-                steps.append(BoundAction(key, target=_pose_for(poses, name), confidence=_flag(low)))
-                holding = None  # the poured object is set down beside the target
+        else:  # tilt while holding
+            candidates = detected_set - picked - {holding}
+            if not candidates:
+                raise BindingError(idx, "no candidate pour target")
+            ranked = [o for o in rank_objects(model, key) if o in candidates]
+            if ranked:
+                name, low = ranked[0], False
             else:
-                try:
-                    pair = select_object_pair(model, key, candidates)
-                except SelectionError as exc:
-                    raise BindingError(idx, str(exc)) from None
-                steps.append(
-                    BoundAction(
-                        key,
-                        primary=_pose_for(poses, pair.primary),
-                        target=_pose_for(poses, pair.target),
-                        confidence=_flag(pair.low_confidence),
-                    )
-                )
-        else:  # pragma: no cover - the enum is closed
-            raise BindingError(idx, f"unknown primitive {key!r}")
+                name, low = sorted(candidates)[0], True
+            steps.append(BoundAction(key, target=_pose_for(poses, name), confidence=_flag(low)))
+            holding = None  # the poured object is set down beside the target
 
     # Second pass: each move approaches the next grounded step's anchor.
     resolved: list[BoundAction] = []
@@ -228,7 +203,7 @@ def bind_plan(
     return BoundPlan(steps=tuple(resolved), keys=tuple(keys.keys))
 
 
-def validate_plan(plan: BoundPlan, config: PlannerConfig = PlannerConfig()) -> list[str]:
+def validate_plan(plan: BoundPlan) -> list[str]:
     """Check gripper consistency, slot completeness, and container targets.
 
     Returns an ordered list of human-readable violations; empty means valid.
@@ -249,31 +224,19 @@ def validate_plan(plan: BoundPlan, config: PlannerConfig = PlannerConfig()) -> l
             if holding:
                 violations.append(f"step {idx}: pick while holding")
             holding = True
-        elif p == ActionPrimitive.PLACE:
+        elif p in (ActionPrimitive.PLACE, ActionPrimitive.TILT):
             if step.target is None:
-                violations.append(f"step {idx}: place has no bound target")
-            elif step.target.class_name not in config.container_classes:
-                violations.append(
-                    f"step {idx}: place target '{step.target.class_name}' is not a container"
-                )
+                violations.append(f"step {idx}: {p.value} has no bound target")
+            elif step.target.class_name not in _CONTAINER_CLASSES:
+                violations.append(f"step {idx}: {p.value} target '{step.target.class_name}' is not a container")
             if not holding:
-                violations.append(f"step {idx}: place while not holding")
+                violations.append(f"step {idx}: {p.value} while not holding")
             holding = False
         elif p == ActionPrimitive.PUSH:
             if step.primary is None or step.target is None:
                 violations.append(f"step {idx}: push needs two bound objects")
             if holding:
                 violations.append(f"step {idx}: push while holding")
-        elif p == ActionPrimitive.TILT:
-            if step.target is None:
-                violations.append(f"step {idx}: tilt has no bound target")
-            elif step.target.class_name not in config.container_classes:
-                violations.append(
-                    f"step {idx}: tilt target '{step.target.class_name}' is not a container"
-                )
-            if not holding:
-                violations.append(f"step {idx}: tilt while not holding")
-            holding = False
         elif p == ActionPrimitive.ROTATE:
             if step.primary is None:
                 violations.append(f"step {idx}: rotate has no bound object")

@@ -43,14 +43,9 @@ class Mask:
 
 @dataclass(frozen=True)
 class DetectedScene:
-    """Parallel class and mask lists for one camera frame."""
+    """The instance masks of one camera frame; each mask carries its class."""
 
-    classes: tuple[str, ...]
     masks: tuple[Mask, ...]
-
-    def __post_init__(self) -> None:
-        if len(self.classes) != len(self.masks):
-            raise ValueError("classes and masks must have equal length")
 
 
 @dataclass(frozen=True)
@@ -160,7 +155,6 @@ def load_mask_file(path: str | Path) -> DetectedScene:
         doc = json.load(fh)
     if not isinstance(doc, dict) or "objects" not in doc:
         raise ValueError("mask file must be an object with an 'objects' list")
-    classes: list[str] = []
     masks: list[Mask] = []
     for i, obj in enumerate(doc["objects"]):
         if "class" not in obj:
@@ -174,9 +168,8 @@ def load_mask_file(path: str | Path) -> DetectedScene:
             raise ValueError(f"object {i} needs 'points' or 'rle_rows'")
         if len(set(raw)) != len(raw):
             raise ValueError(f"object {i} ({name}) contains duplicate points")
-        classes.append(name)
-        masks.append(Mask(class_name=name, points=tuple((float(x), float(y)) for x, y in raw)))
-    return DetectedScene(classes=tuple(classes), masks=tuple(masks))
+        masks.append(Mask(class_name=name, points=tuple(raw)))
+    return DetectedScene(masks=tuple(masks))
 
 
 def load_calibration(path: str | Path) -> Calibration:

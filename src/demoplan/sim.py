@@ -37,6 +37,7 @@ from typing import Iterable, Mapping
 
 from .actions import ActionPrimitive
 from .planner import BoundAction, BoundPlan, bound_action_to_json
+from .pose import ObjectPose
 
 ITEM = "item"
 CONTAINER = "container"
@@ -161,17 +162,32 @@ def _dist(ax: float, ay: float, bx: float, by: float) -> float:
     return math.hypot(ax - bx, ay - by)
 
 
-def _resolve(world: WorldState, class_name: str, near_x: float, near_y: float) -> str | None:
-    """Nearest world object of the given class to the bound pose; ties by id."""
+class _Refused(Exception):
+    """A precondition of the step failed; the message is the reason."""
+
+
+def _find(world: WorldState, pose: ObjectPose) -> str:
+    """Nearest world object of the pose's class to the bound pose; ties by id."""
     best: tuple[float, str] | None = None
     for oid in sorted(world.objects):
         obj = world.objects[oid]
-        if obj.class_name != class_name:
+        if obj.class_name != pose.class_name:
             continue
-        d = _dist(obj.x, obj.y, near_x, near_y)
+        d = _dist(obj.x, obj.y, pose.x, pose.y)
         if best is None or d < best[0]:
             best = (d, oid)
-    return None if best is None else best[1]
+    if best is None:
+        raise _Refused(f"no {pose.class_name} in the world")
+    return best[1]
+
+
+def _reach(world: WorldState, oid: str, cfg: SimConfig) -> SimObject:
+    """The object, refused when it lies beyond the gripper's reach."""
+    obj = world.objects[oid]
+    d = _dist(world.gripper.x, world.gripper.y, obj.x, obj.y)
+    if d > cfg.reach:
+        raise _Refused(f"{oid} out of reach (d={d:.3f} m > {cfg.reach} m)")
+    return obj
 
 
 def _contents(world: WorldState, container_id: str) -> set[str]:
@@ -199,12 +215,33 @@ def _in_bounds(world: WorldState, objects: Mapping[str, SimObject]) -> bool:
     return all(0.0 <= o.x <= world.width and 0.0 <= o.y <= world.height for o in objects.values())
 
 
-def _ok(world: WorldState) -> tuple[WorldState, None]:
-    return replace(world, clock=world.clock + 1), None
+def _carry(world: WorldState, x: float, y: float, verb: str) -> dict[str, SimObject]:
+    """Objects after the held object, with its contents, moves to (x, y)."""
+    objects = dict(world.objects)
+    held = world.gripper.holding
+    if held is not None:
+        start = world.objects[held]
+        objects = _translate_group(world, _contents(world, held), x - start.x, y - start.y)
+        # the held object lands on the gripper exactly, not within an ulp
+        objects[held] = replace(objects[held], x=x, y=y)
+    if not _in_bounds(world, objects):
+        raise _Refused(f"{verb} would push an object out of the workspace")
+    return objects
 
 
-def _fail(world: WorldState, reason: str) -> tuple[WorldState, str]:
-    return world, reason
+def _container(world: WorldState, act: BoundAction, verb: str, into: str) -> tuple[str, str]:
+    """Held id and container id for a place or tilt into the bound target."""
+    held = world.gripper.holding
+    if held is None:
+        raise _Refused(f"{verb} while not holding")
+    if act.target is None:
+        raise _Refused(f"{verb} has no bound target")
+    cid = _find(world, act.target)
+    if world.objects[cid].kind != CONTAINER:
+        raise _Refused(f"{verb} target {cid} is not a container")
+    if held == cid:
+        raise _Refused(f"cannot {into} an object into itself")
+    return held, cid
 
 
 def apply_primitive(
@@ -216,144 +253,92 @@ def apply_primitive(
     precondition failure.
     """
     p = act.primitive
+    gripper = world.gripper
+    try:
+        if p == ActionPrimitive.IDLE:
+            new = world
 
-    if p == ActionPrimitive.IDLE:
-        return _ok(world)
+        elif p == ActionPrimitive.MOVE:
+            dest = act.anchor()
+            if dest is not None:
+                dx, dy = dest.x, dest.y
+            elif world.zone is not None:
+                dx, dy = world.zone.x, world.zone.y
+            else:
+                raise _Refused("move has no destination and the world has no delivery zone")
+            objects = _carry(world, dx, dy, "move")
+            handover = world.zone is not None and _dist(dx, dy, world.zone.x, world.zone.y) <= world.zone.radius
+            if handover and gripper.holding is not None:
+                gripper = replace(gripper, holding=None, closed=False)
+            new = replace(world, gripper=replace(gripper, x=dx, y=dy), objects=objects)
 
-    if p == ActionPrimitive.MOVE:
-        dest = act.anchor()
-        if dest is not None:
-            dx, dy = dest.x, dest.y
-        elif world.zone is not None:
-            dx, dy = world.zone.x, world.zone.y
-        else:
-            return _fail(world, "move has no destination and the world has no delivery zone")
-        gripper = replace(world.gripper, x=dx, y=dy)
-        objects = dict(world.objects)
-        if world.gripper.holding is not None:
-            held = world.gripper.holding
-            ddx, ddy = dx - objects[held].x, dy - objects[held].y
-            objects = _translate_group(world, _contents(world, held), ddx, ddy)
-            # the held object lands on the gripper exactly, not within an ulp
-            objects[held] = replace(objects[held], x=dx, y=dy)
-        handover = world.zone is not None and _dist(dx, dy, world.zone.x, world.zone.y) <= world.zone.radius
-        if handover and gripper.holding is not None:
+        elif p == ActionPrimitive.PICK:
+            if act.primary is None:
+                raise _Refused("pick has no bound object")
+            if gripper.holding is not None:
+                raise _Refused(f"pick while holding {gripper.holding}")
+            oid = _find(world, act.primary)
+            obj = _reach(world, oid, cfg)
+            gripper = replace(gripper, x=obj.x, y=obj.y, holding=oid, closed=True)
+            new = replace(world, gripper=gripper, inside={k: v for k, v in world.inside.items() if k != oid})
+
+        elif p == ActionPrimitive.PLACE:
+            held, cid = _container(world, act, "place", "place")
+            container = world.objects[cid]
+            objects = _carry(world, container.x, container.y, "place")
+            gripper = replace(gripper, x=container.x, y=container.y, holding=None, closed=False)
+            new = replace(world, objects=objects, gripper=gripper, inside={**world.inside, held: cid})
+
+        elif p == ActionPrimitive.PUSH:
+            if act.primary is None or act.target is None:
+                raise _Refused("push needs two bound objects")
+            if gripper.holding is not None:
+                raise _Refused("push while holding")  # the gripper body does the pushing
+            pid, tid = _find(world, act.primary), _find(world, act.target)
+            if pid == tid:
+                raise _Refused("push needs two distinct objects")
+            po, to = world.objects[pid], world.objects[tid]
+            d = _dist(po.x, po.y, to.x, to.y)
+            if d <= cfg.contact:
+                new = replace(world, gripper=replace(gripper, x=po.x, y=po.y))
+            elif d == 0.0:
+                raise _Refused("push objects are coincident")
+            else:
+                ux, uy = (to.x - po.x) / d, (to.y - po.y) / d
+                nx, ny = to.x - cfg.contact * ux, to.y - cfg.contact * uy
+                group = {pid} | (_contents(world, pid) if po.kind == CONTAINER else set())
+                objects = _translate_group(world, group, nx - po.x, ny - po.y)
+                if not _in_bounds(world, objects):
+                    raise _Refused("push would leave the workspace")
+                new = replace(world, objects=objects, gripper=replace(gripper, x=nx, y=ny))
+
+        elif p == ActionPrimitive.TILT:
+            held, tid = _container(world, act, "tilt", "pour")
+            _reach(world, tid, cfg)
+            # pouring done: set the object down where it is and open the gripper
             gripper = replace(gripper, holding=None, closed=False)
-        if not _in_bounds(world, objects):
-            return _fail(world, "move would push an object out of the workspace")
-        return _ok(replace(world, gripper=gripper, objects=objects))
+            new = replace(world, poured=world.poured | {(held, tid)}, gripper=gripper)
 
-    if p == ActionPrimitive.PICK:
-        if act.primary is None:
-            return _fail(world, "pick has no bound object")
-        if world.gripper.holding is not None:
-            return _fail(world, f"pick while holding {world.gripper.holding}")
-        oid = _resolve(world, act.primary.class_name, act.primary.x, act.primary.y)
-        if oid is None:
-            return _fail(world, f"no {act.primary.class_name} in the world")
-        obj = world.objects[oid]
-        d = _dist(world.gripper.x, world.gripper.y, obj.x, obj.y)
-        if d > cfg.reach:
-            return _fail(world, f"{oid} out of reach (d={d:.3f} m > {cfg.reach} m)")
-        gripper = replace(world.gripper, x=obj.x, y=obj.y, holding=oid, closed=True)
-        inside = {k: v for k, v in world.inside.items() if k != oid}
-        return _ok(replace(world, gripper=gripper, inside=inside))
+        elif p == ActionPrimitive.ROTATE:
+            if act.primary is None:
+                raise _Refused("rotate has no bound object")
+            oid = _find(world, act.primary)
+            obj = world.objects[oid] if gripper.holding == oid else _reach(world, oid, cfg)
+            turned = obj.turned + cfg.cap_turn_angle
+            objects = dict(world.objects)
+            objects[oid] = replace(
+                obj,
+                theta=(obj.theta + cfg.cap_turn_angle) % (2.0 * math.pi),
+                turned=turned,
+                opened=obj.opened or turned >= cfg.open_turn_angle - _SEP_TOL,
+            )
+            new = replace(world, objects=objects)
 
-    if p == ActionPrimitive.PLACE:
-        if world.gripper.holding is None:
-            return _fail(world, "place while not holding")
-        if act.target is None:
-            return _fail(world, "place has no bound target")
-        cid = _resolve(world, act.target.class_name, act.target.x, act.target.y)
-        if cid is None:
-            return _fail(world, f"no {act.target.class_name} in the world")
-        container = world.objects[cid]
-        if container.kind != CONTAINER:
-            return _fail(world, f"place target {cid} is not a container")
-        held = world.gripper.holding
-        if held == cid:
-            return _fail(world, "cannot place an object into itself")
-        ddx, ddy = container.x - world.objects[held].x, container.y - world.objects[held].y
-        objects = _translate_group(world, _contents(world, held), ddx, ddy)
-        objects[held] = replace(objects[held], x=container.x, y=container.y)
-        if not _in_bounds(world, objects):
-            return _fail(world, "place would push an object out of the workspace")
-        inside = dict(world.inside)
-        inside[held] = cid
-        gripper = replace(world.gripper, x=container.x, y=container.y, holding=None, closed=False)
-        return _ok(replace(world, objects=objects, gripper=gripper, inside=inside))
-
-    if p == ActionPrimitive.PUSH:
-        if act.primary is None or act.target is None:
-            return _fail(world, "push needs two bound objects")
-        if world.gripper.holding is not None:
-            return _fail(world, "push while holding")  # the gripper body does the pushing
-        pid = _resolve(world, act.primary.class_name, act.primary.x, act.primary.y)
-        tid = _resolve(world, act.target.class_name, act.target.x, act.target.y)
-        if pid is None or tid is None:
-            missing = act.primary.class_name if pid is None else act.target.class_name
-            return _fail(world, f"no {missing} in the world")
-        if pid == tid:
-            return _fail(world, "push needs two distinct objects")
-        po, to = world.objects[pid], world.objects[tid]
-        d = _dist(po.x, po.y, to.x, to.y)
-        if d <= cfg.contact:
-            return _ok(replace(world, gripper=replace(world.gripper, x=po.x, y=po.y)))
-        if d == 0.0:
-            return _fail(world, "push objects are coincident")
-        ux, uy = (to.x - po.x) / d, (to.y - po.y) / d
-        nx, ny = to.x - cfg.contact * ux, to.y - cfg.contact * uy
-        group = {pid} | (_contents(world, pid) if po.kind == CONTAINER else set())
-        objects = _translate_group(world, group, nx - po.x, ny - po.y)
-        if not _in_bounds(world, objects):
-            return _fail(world, "push would leave the workspace")
-        gripper = replace(world.gripper, x=nx, y=ny)
-        return _ok(replace(world, objects=objects, gripper=gripper))
-
-    if p == ActionPrimitive.TILT:
-        if world.gripper.holding is None:
-            return _fail(world, "tilt while not holding")
-        if act.target is None:
-            return _fail(world, "tilt has no bound target")
-        tid = _resolve(world, act.target.class_name, act.target.x, act.target.y)
-        if tid is None:
-            return _fail(world, f"no {act.target.class_name} in the world")
-        target = world.objects[tid]
-        if target.kind != CONTAINER:
-            return _fail(world, f"tilt target {tid} is not a container")
-        held = world.gripper.holding
-        if held == tid:
-            return _fail(world, "cannot pour an object into itself")
-        d = _dist(world.gripper.x, world.gripper.y, target.x, target.y)
-        if d > cfg.reach:
-            return _fail(world, f"{tid} out of reach (d={d:.3f} m > {cfg.reach} m)")
-        poured = world.poured | {(held, tid)}
-        # pouring done: set the object down where it is and open the gripper
-        gripper = replace(world.gripper, holding=None, closed=False)
-        return _ok(replace(world, poured=poured, gripper=gripper))
-
-    if p == ActionPrimitive.ROTATE:
-        if act.primary is None:
-            return _fail(world, "rotate has no bound object")
-        oid = _resolve(world, act.primary.class_name, act.primary.x, act.primary.y)
-        if oid is None:
-            return _fail(world, f"no {act.primary.class_name} in the world")
-        obj = world.objects[oid]
-        if world.gripper.holding != oid:
-            d = _dist(world.gripper.x, world.gripper.y, obj.x, obj.y)
-            if d > cfg.reach:
-                return _fail(world, f"{oid} out of reach (d={d:.3f} m > {cfg.reach} m)")
-        turned = obj.turned + cfg.cap_turn_angle
-        objects = dict(world.objects)
-        objects[oid] = replace(
-            obj,
-            theta=(obj.theta + cfg.cap_turn_angle) % (2.0 * math.pi),
-            turned=turned,
-            opened=obj.opened or turned >= cfg.open_turn_angle - _SEP_TOL,
-        )
-        return _ok(replace(world, objects=objects))
-
-    raise ValueError(f"unknown primitive {p!r}")  # pragma: no cover
+        else:  # pragma: no cover - the enum is closed
+            raise ValueError(f"unknown primitive {p!r}")
+    except _Refused as refused:
+        return world, str(refused)
+    return replace(new, clock=new.clock + 1), None
 
 
 def run_plan(

@@ -1,9 +1,11 @@
+import hashlib
 import json
+import random
 
 import pytest
 
 from demoplan import fixtures
-from demoplan.actions import ActionPrimitive, keys_from_names
+from demoplan.actions import ActionPrimitive, KeySequence, keys_from_names
 from demoplan.knowledge import build_model, load_corpus, load_lexicon
 from demoplan.planner import (
     BindingError,
@@ -11,11 +13,11 @@ from demoplan.planner import (
     BoundPlan,
     LOW_CONFIDENCE,
     NORMAL,
-    PlannerConfig,
     arity,
     bind_plan,
     dump_plan,
     load_plan,
+    plan_to_json,
     validate_plan,
 )
 from demoplan.pose import ObjectPose, load_calibration, load_mask_file, sense_scene
@@ -197,17 +199,6 @@ class TestValidatePlan:
         report = validate_plan(plan)
         assert any("not a container" in v for v in report)
 
-    def test_container_set_is_configurable(self):
-        plan = BoundPlan(
-            steps=(
-                BoundAction(PICK, primary=pose("apple")),
-                BoundAction(PLACE, target=pose("basket")),
-            ),
-            keys=(PICK, PLACE),
-        )
-        config = PlannerConfig(container_classes=frozenset({"basket"}))
-        assert validate_plan(plan, config) == []
-
     def test_tilt_after_tilt_release_is_consistent(self, model, cal):
         # pour then pick again: the validator must agree with execution order
         keys = keys_from_names(["idle", "move", "rotate", "pick", "move", "tilt", "pick", "move"])
@@ -253,3 +244,30 @@ class TestPlanIO:
         assert doc[0]["primitive"] == "idle"
         assert doc[0]["confidence"] == NORMAL
         assert set(doc[2]["primary"]) == {"x", "y", "theta", "class", "degenerate"}
+
+
+class TestBindingSignature:
+    """Plans, binding errors and violations over seeded key sequences and scenes, pinned by one hash."""
+
+    EXPECTED = "505325e96c3147188a5bda43377c6cb980acae3965192be0ec9b88a0df29a4b8"
+
+    def test_plans_errors_and_violations_are_unchanged(self, model):
+        rng = random.Random(11)
+        classes = sorted(load_lexicon(fixtures.lexicon_path()).objects) + ["ghost"]
+        primitives = list(ActionPrimitive)
+        h = hashlib.sha256()
+        for _ in range(500):
+            names = [rng.choice(primitives)]
+            while len(names) < rng.randint(1, 10):
+                names.append(rng.choice([p for p in primitives if p != names[-1]]))
+            keys = KeySequence(tuple(names))
+            for _ in range(10):
+                detected = rng.choices(classes, k=rng.randint(0, 5))
+                poses = [pose(c, rng.uniform(0, 0.9), rng.uniform(0, 0.9)) for c in detected]
+                try:
+                    plan = bind_plan(keys, poses, model)
+                except BindingError as exc:
+                    h.update(f"{exc}\n".encode())
+                    continue
+                h.update(f"{json.dumps(plan_to_json(plan), sort_keys=True)}|{validate_plan(plan)}\n".encode())
+        assert h.hexdigest() == self.EXPECTED

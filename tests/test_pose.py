@@ -7,7 +7,6 @@ from hypothesis import assume, given, settings, strategies as st
 
 from demoplan.pose import (
     Calibration,
-    DetectedScene,
     IDENTITY_CALIBRATION,
     Mask,
     ObjectPose,
@@ -263,10 +262,6 @@ class TestMaskFile:
         doc = {"image_size": [10, 10], "objects": [{"class": "x", "rle_rows": [[0, 0, 0]]}]}
         with pytest.raises(ValueError):
             load_mask_file(self.write(tmp_path, doc))
-
-    def test_scene_lengths_must_match(self):
-        with pytest.raises(ValueError):
-            DetectedScene(classes=("a",), masks=())
 
     def test_sense_scene_calibrates(self, tmp_path):
         doc = {"image_size": [600, 600], "objects": [{"class": "apple", "rle_rows": [[300, 299, 3]]}]}

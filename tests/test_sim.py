@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import random
@@ -402,3 +403,24 @@ class TestRandomizedInvariants:
                 assert (o.x, o.y) == (world.gripper.x, world.gripper.y)
             # conservation and bounds
             assert all(0 <= o.x <= 0.9 and 0 <= o.y <= 0.9 for o in world.objects.values())
+
+
+class TestReasonSignature:
+    """Every reason string and resulting world of a seeded fuzz, pinned by one hash."""
+
+    CONFIGS = (CFG, SimConfig(reach=0.5, contact=0.1, cap_turn_angle=math.pi, open_turn_angle=2.5 * math.pi))
+    EXPECTED = "42850909a087cfa2edfa2d6b9994477aa7346cbb36a4cd99aeec7926c7effe4b"
+
+    def test_reasons_and_digests_are_unchanged(self):
+        h = hashlib.sha256()
+        for seed, cfg in enumerate(self.CONFIGS):
+            rng = random.Random(seed)
+            world = random_world(rng)
+            for step in range(25_000):
+                if step % 40 == 0:
+                    world = random_world(rng)
+                nxt, reason = apply_primitive(world, random_action(rng, world), cfg)
+                h.update(f"{reason}|{digest(nxt)}\n".encode())
+                if reason is None:
+                    world = nxt
+        assert h.hexdigest() == self.EXPECTED
