@@ -187,7 +187,7 @@ def load_label_stream(path: str | Path) -> PrimitiveStream:
                 raise LabelStreamError(lineno, f"invalid JSON ({exc.msg})") from None
             if not isinstance(record, dict) or "frame" not in record or "label" not in record:
                 raise LabelStreamError(lineno, "record must carry 'frame' and 'label'")
-            if record["frame"] != expected:
+            if type(record["frame"]) is not int or record["frame"] != expected:
                 raise LabelStreamError(
                     lineno, f"frame {record['frame']!r} breaks contiguous order (expected {expected})"
                 )

@@ -289,15 +289,18 @@ def dump_plan(plan: BoundPlan, path: str | Path) -> None:
 def load_plan(path: str | Path) -> BoundPlan:
     with open(path, "r", encoding="utf-8") as fh:
         doc = json.load(fh)
-    if not isinstance(doc, list):
-        raise ValueError("plan file must be a JSON list of steps")
-    steps = tuple(
-        BoundAction(
-            primitive=ActionPrimitive.parse(item["primitive"]),
-            primary=_pose_from_json(item.get("primary")),
-            target=_pose_from_json(item.get("target")),
-            confidence=str(item.get("confidence", NORMAL)),
+    if not isinstance(doc, list) or not all(isinstance(item, dict) for item in doc):
+        raise ValueError("plan file must be a JSON list of step objects")
+    try:
+        steps = tuple(
+            BoundAction(
+                primitive=ActionPrimitive.parse(item["primitive"]),
+                primary=_pose_from_json(item.get("primary")),
+                target=_pose_from_json(item.get("target")),
+                confidence=str(item.get("confidence", NORMAL)),
+            )
+            for item in doc
         )
-        for item in doc
-    )
+    except TypeError:
+        raise ValueError("plan poses must be objects with numeric 'x', 'y', 'theta' and a 'class'") from None
     return BoundPlan(steps=steps, keys=tuple(s.primitive for s in steps))

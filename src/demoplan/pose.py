@@ -16,10 +16,9 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, replace
+from operator import mul
 from pathlib import Path
 from typing import Sequence
-
-import numpy as np
 
 # Eigenvalue ratio below which a mask is treated as isotropic.
 ISO_EPS = 0.05
@@ -35,10 +34,7 @@ class Mask:
     def __post_init__(self) -> None:
         if len(self.points) < 1:
             raise ValueError("mask must contain at least one point")
-        object.__setattr__(self, "points", tuple((float(x), float(y)) for x, y in self.points))
-
-    def as_array(self) -> np.ndarray:
-        return np.asarray(self.points, dtype=float)
+        object.__setattr__(self, "points", tuple(self.points))
 
 
 @dataclass(frozen=True)
@@ -68,40 +64,39 @@ class Calibration:
     image_size: tuple[int, int] = (600, 600)
 
     def __post_init__(self) -> None:
-        if self.scale <= 0:
-            raise ValueError("scale must be positive")
+        if not (0.0 < self.scale < math.inf and all(map(math.isfinite, self.origin))):
+            raise ValueError("calibration needs a finite positive scale and a finite origin")
 
 
 IDENTITY_CALIBRATION = Calibration(scale=1.0, origin=(0.0, 0.0))
 
 
 def centroid(mask: Mask) -> tuple[float, float]:
-    """Arithmetic mean of the mask's pixel coordinates."""
-    pts = mask.as_array()
-    cx, cy = pts.mean(axis=0)
-    return float(cx), float(cy)
+    """Arithmetic mean of the mask's pixel coordinates; exact sums for integer pixels."""
+    xs, ys = zip(*mask.points)
+    n = len(xs)
+    return sum(xs) / n, sum(ys) / n
 
 
 def principal_angle(mask: Mask) -> tuple[float, bool]:
     """Orientation of the direction of largest variance, in [0, pi).
 
-    Computed in closed form from the 2x2 covariance of the points:
-    theta = 0.5 * atan2(2*c_xy, c_xx - c_yy). Covariance uses population
-    normalization (divide by the point count); the choice does not affect
-    the angle. Returns (0.0, True) for masks with fewer than two points or
-    an eigenvalue ratio below 1 + ISO_EPS.
+    theta = 0.5 * atan2(2*c_xy, c_xx - c_yy) over the population covariance,
+    centred before summing so that far-off clouds do not cancel. Returns
+    (0.0, True) for fewer than two points or an eigenvalue ratio below 1 + ISO_EPS.
     """
-    pts = mask.as_array()
-    if len(pts) < 2:
+    n = len(mask.points)
+    if n < 2:
         return 0.0, True
-    d = pts - pts.mean(axis=0)
-    cxx = float(np.mean(d[:, 0] * d[:, 0]))
-    cyy = float(np.mean(d[:, 1] * d[:, 1]))
-    cxy = float(np.mean(d[:, 0] * d[:, 1]))
+    mx, my = centroid(mask)
+    dx = [x - mx for x, _ in mask.points]
+    dy = [y - my for _, y in mask.points]
+    cxx = math.fsum(map(mul, dx, dx)) / n
+    cyy = math.fsum(map(mul, dy, dy)) / n
+    cxy = math.fsum(map(mul, dx, dy)) / n
     half_trace = 0.5 * (cxx + cyy)
     disc = math.sqrt(max(0.25 * (cxx - cyy) ** 2 + cxy * cxy, 0.0))
-    lam_max = half_trace + disc
-    lam_min = half_trace - disc
+    lam_max, lam_min = half_trace + disc, half_trace - disc
     if lam_max <= 0.0 or lam_max < (1.0 + ISO_EPS) * lam_min:
         return 0.0, True
     theta = 0.5 * math.atan2(2.0 * cxy, cxx - cyy)
@@ -153,19 +148,23 @@ def load_mask_file(path: str | Path) -> DetectedScene:
     """
     with open(path, "r", encoding="utf-8") as fh:
         doc = json.load(fh)
-    if not isinstance(doc, dict) or "objects" not in doc:
+    objects = doc.get("objects") if isinstance(doc, dict) else None
+    if not isinstance(objects, list):
         raise ValueError("mask file must be an object with an 'objects' list")
     masks: list[Mask] = []
-    for i, obj in enumerate(doc["objects"]):
-        if "class" not in obj:
-            raise ValueError(f"object {i} is missing 'class'")
+    for i, obj in enumerate(objects):
+        if not isinstance(obj, dict) or "class" not in obj:
+            raise ValueError(f"object {i} must be an object with a 'class'")
         name = str(obj["class"])
-        if "points" in obj:
-            raw = [(int(x), int(y)) for x, y in obj["points"]]
-        elif "rle_rows" in obj:
-            raw = _points_from_rle_rows(obj["rle_rows"])
-        else:
-            raise ValueError(f"object {i} needs 'points' or 'rle_rows'")
+        try:
+            if "points" in obj:
+                raw = [(int(x), int(y)) for x, y in obj["points"]]
+            elif "rle_rows" in obj:
+                raw = _points_from_rle_rows(obj["rle_rows"])
+            else:
+                raise ValueError(f"object {i} needs 'points' or 'rle_rows'")
+        except (TypeError, OverflowError):
+            raise ValueError(f"object {i} ({name}) has malformed pixel data") from None
         if len(set(raw)) != len(raw):
             raise ValueError(f"object {i} ({name}) contains duplicate points")
         masks.append(Mask(class_name=name, points=tuple(raw)))
@@ -175,8 +174,9 @@ def load_mask_file(path: str | Path) -> DetectedScene:
 def load_calibration(path: str | Path) -> Calibration:
     with open(path, "r", encoding="utf-8") as fh:
         doc = json.load(fh)
-    return Calibration(
-        scale=float(doc["scale"]),
-        origin=(float(doc["origin"][0]), float(doc["origin"][1])),
-        image_size=tuple(int(v) for v in doc.get("image_size", (600, 600))),
-    )
+    try:
+        origin = (float(doc["origin"][0]), float(doc["origin"][1]))
+        size = tuple(int(v) for v in doc.get("image_size", (600, 600)))
+        return Calibration(scale=float(doc["scale"]), origin=origin, image_size=size)
+    except (TypeError, OverflowError):
+        raise ValueError("calibration must hold a number 'scale' and an [x, y] 'origin'") from None

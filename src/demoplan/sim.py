@@ -10,9 +10,9 @@ kinematics or time integration. Semantics per primitive:
           held object, standing in for handing it over.
   pick    requires an empty gripper within reach of the bound object; the
           gripper closes on it and the object tracks the gripper afterward.
-  place   requires a held object and a container target; the object is set
-          at the container center and recorded as inside it, so it rides
-          along when the container later moves.
+  place   requires a held object and a container target that does not ride
+          inside it; the object is set at the container center and recorded
+          as inside it, so it rides along when the container later moves.
   push    requires an empty gripper; the bound object translates along the
           line toward the target object until their separation equals the
           contact distance.
@@ -43,6 +43,7 @@ ITEM = "item"
 CONTAINER = "container"
 BOTTLE = "bottle"
 KINDS = (ITEM, CONTAINER, BOTTLE)
+_TASK_KINDS = ("composite", "pick-place", "push-away", "open-bottle", "pour", "deliver")
 
 _SEP_TOL = 1e-9
 
@@ -284,6 +285,8 @@ def apply_primitive(
 
         elif p == ActionPrimitive.PLACE:
             held, cid = _container(world, act, "place", "place")
+            if cid in _contents(world, held):
+                raise _Refused(f"cannot place {held} into {cid}, which is inside it")
             container = world.objects[cid]
             objects = _carry(world, container.x, container.y, "place")
             gripper = replace(gripper, x=container.x, y=container.y, holding=None, closed=False)
@@ -408,8 +411,11 @@ def check_success(trace: ExecutionTrace, final: WorldState, spec: TaskSpec, cfg:
 
 
 def _task_from_json(doc: dict) -> TaskSpec:
+    kind = str(doc["kind"])
+    if kind not in _TASK_KINDS:
+        raise ValueError(f"unknown task kind {kind!r}")
     return TaskSpec(
-        kind=str(doc["kind"]),
+        kind=kind,
         object_class=doc.get("object_class"),
         target_class=doc.get("target_class"),
         containment_radius=doc.get("containment_radius"),

@@ -1,4 +1,5 @@
 import json
+import math
 
 import pytest
 
@@ -8,6 +9,14 @@ from demoplan.cli import main
 
 def run_cli(*argv):
     return main(list(argv))
+
+
+def assert_parse_error(code, capsys):
+    """Exit 2 with exactly one error line on stderr; returns that line."""
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("demoplan: error: ") and err.count("\n") == 1, err
+    return err
 
 
 @pytest.fixture()
@@ -107,6 +116,47 @@ class TestPlan:
         )
         assert code == 2
 
+    @pytest.mark.parametrize(
+        "doc",
+        [
+            {"objects": [1]},
+            {"objects": 5},
+            {"objects": [{"class": "x", "points": [1]}]},
+            {"objects": [{"class": "x", "rle_rows": [5]}]},
+        ],
+    )
+    def test_mistyped_masks_exit_2(self, capsys, tmp_path, doc):
+        masks = tmp_path / "masks.json"
+        masks.write_text(json.dumps(doc))
+        code = run_cli("plan", "--labels", str(fixtures.labels_path("pick_place")), "--masks", str(masks))
+        assert_parse_error(code, capsys)
+
+    @pytest.mark.parametrize(
+        "doc",
+        [
+            {"scale": math.nan, "origin": [0.0, 0.0]},
+            {"scale": math.inf, "origin": [0.0, 0.0]},
+            {"scale": 0.0015, "origin": [math.nan, 0.0]},
+            {"scale": 0.0015, "origin": [0.0, -math.inf]},
+        ],
+    )
+    def test_non_finite_calibration_exits_2(self, capsys, tmp_path, doc):
+        cal = tmp_path / "cal.json"
+        cal.write_text(json.dumps(doc))  # NaN and Infinity are JSON extensions Python reads
+        code = run_cli(
+            "plan",
+            "--labels", str(fixtures.labels_path("pick_place")),
+            "--masks", str(fixtures.masks_path("pick_place")),
+            "--calibration", str(cal),
+        )
+        assert_parse_error(code, capsys)
+
+    def test_boolean_frame_exits_2(self, capsys, tmp_path):
+        labels = tmp_path / "labels.jsonl"
+        labels.write_text(json.dumps({"frame": 0, "label": "idle"}) + "\n" + json.dumps({"frame": True, "label": "idle"}))
+        code = run_cli("plan", "--labels", str(labels), "--masks", str(fixtures.masks_path("pick_place")))
+        assert "line 2" in assert_parse_error(code, capsys)
+
 
 class TestRun:
     def test_pick_place_succeeds(self, capsys, pick_place_plan, tmp_path):
@@ -140,6 +190,30 @@ class TestRun:
         assert code == 1
         out = capsys.readouterr().out
         assert "FAILURE step 0" in out and "not holding" in out
+
+    @pytest.mark.parametrize(
+        "doc",
+        [[1], [{"primitive": "pick", "primary": 5}], [{"primitive": "pick", "primary": {"x": None}}]],
+    )
+    def test_mistyped_plan_exits_2(self, capsys, tmp_path, doc):
+        plan = tmp_path / "plan.json"
+        plan.write_text(json.dumps(doc))
+        code = run_cli("run", "--plan", str(plan), "--scenario", str(fixtures.scenario_path("pick_place")))
+        assert_parse_error(code, capsys)
+
+    @pytest.mark.parametrize(
+        "task",
+        [
+            {"kind": "juggle"},
+            {"kind": "composite", "parts": [{"kind": "deliver", "object_class": "banana"}, {"kind": "juggle"}]},
+        ],
+    )
+    def test_unknown_task_kind_exits_2(self, capsys, tmp_path, pick_place_plan, task):
+        doc = json.loads(fixtures.scenario_path("pick_place").read_text())
+        scenario = tmp_path / "scenario.json"
+        scenario.write_text(json.dumps({**doc, "task": task}))
+        code = run_cli("run", "--plan", str(pick_place_plan), "--scenario", str(scenario))
+        assert "unknown task kind 'juggle'" in assert_parse_error(code, capsys)
 
 
 class TestBench:

@@ -1,10 +1,18 @@
+import hashlib
 import json
 import math
+import os
+import random
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+import demoplan
+from demoplan import fixtures
 from demoplan.pose import (
     Calibration,
     IDENTITY_CALIBRATION,
@@ -275,3 +283,51 @@ class TestMaskFile:
         path.write_text(json.dumps({"scale": 0.002, "origin": [0.1, 0.2], "image_size": [640, 480]}))
         cal = load_calibration(path)
         assert cal == Calibration(scale=0.002, origin=(0.1, 0.2), image_size=(640, 480))
+
+
+def random_pixel_mask(rng: random.Random) -> Mask:
+    """Integer pixels scattered over a 1080p frame, duplicates allowed."""
+    x0, y0, w, h = rng.randrange(1500), rng.randrange(700), rng.randint(1, 400), rng.randint(1, 400)
+    n = rng.randint(1, 300)
+    return mask_of((x0 + rng.randrange(w), y0 + rng.randrange(h)) for _ in range(n))
+
+
+class TestPoseSignature:
+    """Poses of the shipped masks and centroids of random pixel masks, pinned by hash."""
+
+    FIXTURE_POSES = "e0eec12ff947de0975a1abb63425d27da768788fd4f9e3ce9b85779f22661412"
+    RANDOM_CENTROIDS = "397dd720472661b2ea53ef6e003b709af55703ec7bdb0eb8ef705bda69be5b72"
+
+    def test_fixture_scene_poses_are_unchanged(self):
+        cal = load_calibration(fixtures.calibration_path())
+        h = hashlib.sha256()
+        for task in fixtures.TASKS:
+            h.update(repr(sense_scene(load_mask_file(fixtures.masks_path(task)), cal)).encode())
+        assert h.hexdigest() == self.FIXTURE_POSES
+
+    def test_integer_mask_centroids_are_unchanged(self):
+        rng = random.Random(11)
+        h = hashlib.sha256()
+        for _ in range(1000):
+            h.update(repr(centroid(random_pixel_mask(rng))).encode())
+        assert h.hexdigest() == self.RANDOM_CENTROIDS
+
+
+class TestWithoutNumpy:
+    def test_cli_plan_and_run(self, tmp_path):
+        """plan and run succeed on a fixture task with numpy blocked from import."""
+        plan = tmp_path / "plan.json"
+        plan_argv = ["plan", "--labels", str(fixtures.labels_path("pick_place")),
+                     "--masks", str(fixtures.masks_path("pick_place")), "--out", str(plan)]
+        run_argv = ["run", "--plan", str(plan), "--scenario", str(fixtures.scenario_path("pick_place"))]
+        code = (
+            "import sys\n"
+            "sys.modules['numpy'] = None\n"
+            "from demoplan.cli import main\n"
+            f"sys.exit(main({plan_argv!r}) or main({run_argv!r}))\n"
+        )
+        src = str(Path(demoplan.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert "SUCCESS" in proc.stdout

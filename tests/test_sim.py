@@ -147,6 +147,23 @@ class TestMoveAndPlace:
         assert (w.objects["a-0"].x, w.objects["a-0"].y) == (0.80, 0.75)
         assert w.gripper.holding is None  # handover released the box
 
+    def test_place_into_own_contents_fails(self):
+        w = world_with(
+            {
+                "bowl-0": obj("bowl", 0.30, 0.30, kind=CONTAINER, radius=0.06),
+                "box-0": obj("plastic-box", 0.32, 0.32, kind=CONTAINER, radius=0.06),
+            },
+            gripper=(0.30, 0.30),
+        )
+        w, _ = apply_primitive(w, BoundAction(PICK, primary=pose_at(w, "bowl-0")), CFG)
+        w, reason = apply_primitive(w, BoundAction(PLACE, target=pose_at(w, "box-0")), CFG)
+        assert reason is None and w.inside == {"bowl-0": "box-0"}
+        w, reason = apply_primitive(w, BoundAction(PICK, primary=pose_at(w, "box-0")), CFG)
+        assert reason is None
+        after, reason = apply_primitive(w, BoundAction(PLACE, target=pose_at(w, "bowl-0")), CFG)
+        assert reason == "cannot place box-0 into bowl-0, which is inside it"
+        assert digest(after) == digest(w) and w.inside == {"bowl-0": "box-0"}
+
     def test_unbound_move_without_zone_fails(self):
         w = world_with({"a-0": obj("apple", 0.3, 0.3)})
         _, reason = apply_primitive(w, BoundAction(MOVE), CFG)
@@ -409,7 +426,7 @@ class TestReasonSignature:
     """Every reason string and resulting world of a seeded fuzz, pinned by one hash."""
 
     CONFIGS = (CFG, SimConfig(reach=0.5, contact=0.1, cap_turn_angle=math.pi, open_turn_angle=2.5 * math.pi))
-    EXPECTED = "42850909a087cfa2edfa2d6b9994477aa7346cbb36a4cd99aeec7926c7effe4b"
+    EXPECTED = "bff5c41a2020294ffa590b8f45daa4340667d679547cfa5fe268a8676b87ade6"
 
     def test_reasons_and_digests_are_unchanged(self):
         h = hashlib.sha256()
