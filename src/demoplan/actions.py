@@ -15,8 +15,10 @@ from __future__ import annotations
 
 import json
 import random
+from collections import deque
 from dataclasses import dataclass
 from enum import Enum
+from itertools import islice
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -127,11 +129,34 @@ def window_filter(stream: PrimitiveStream, w: int) -> KeySequence:
     n = len(frames)
     if n <= w:
         return KeySequence((window_mode(frames),))
-    keys: list[ActionPrimitive] = []
-    for i in range(n - w):
-        mode = window_mode(frames[i : i + w + 1])
-        if not keys or keys[-1] != mode:
-            keys.append(mode)
+    # Running counts instead of a recount per window (Huang, Yang & Tang 1979;
+    # Perreault & Hebert 2007). Each label keeps a deque of its positions
+    # inside the window: the length is its count and the head its first
+    # occurrence, so window_mode's winner is the largest (count, head). A
+    # slide moves one frame out and one in; the mode needs a full rescan
+    # only when one of its frames leaves and another label's enters.
+    at = {p: deque() for p in dict.fromkeys(frames)}
+    queues = list(at.values())
+    label = {id(q): p for p, q in at.items()}
+    for j in range(w + 1):
+        at[frames[j]].append(j)
+    keys = [window_mode(frames[: w + 1])]
+    mq = at[keys[0]]
+    slides = zip(map(at.__getitem__, frames), map(at.__getitem__, islice(frames, w + 1, None)))
+    for j, (out, into) in enumerate(slides, start=w + 1):
+        out.popleft()
+        into.append(j)
+        if out is mq and into is not mq:
+            best = (0, 0)
+            for q in queues:
+                if q and (len(q), q[0]) > best:
+                    best, mq = (len(q), q[0]), q
+        elif into is not mq and (len(into), into[0]) > (len(mq), mq[0]):
+            mq = into
+        else:
+            continue
+        if label[id(mq)] != keys[-1]:
+            keys.append(label[id(mq)])
     return KeySequence(tuple(keys))
 
 

@@ -254,6 +254,8 @@ def load_corpus(path: str | Path) -> list[str]:
 def load_lexicon(path: str | Path) -> Lexicon:
     with open(path, "r", encoding="utf-8") as fh:
         doc = json.load(fh)
+    if not (isinstance(doc, dict) and isinstance(doc.get("verbs"), dict) and isinstance(doc.get("objects"), list)):
+        raise ValueError("lexicon must be an object with a 'verbs' object and an 'objects' list")
     verbs = {str(v).lower(): ActionPrimitive.parse(p) for v, p in doc["verbs"].items()}
     objects = frozenset(str(o).lower() for o in doc["objects"])
     return Lexicon(verbs=verbs, objects=objects)

@@ -25,6 +25,7 @@ approach pose in ``target`` or nothing.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
@@ -258,10 +259,13 @@ def _pose_to_json(pose: ObjectPose | None) -> dict | None:
 def _pose_from_json(doc: dict | None) -> ObjectPose | None:
     if doc is None:
         return None
+    x, y, theta = (float(doc[k]) for k in ("x", "y", "theta"))
+    if not all(map(math.isfinite, (x, y, theta))):
+        raise ValueError(f"plan pose ({x}, {y}, {theta}) is not finite")
     return ObjectPose(
-        x=float(doc["x"]),
-        y=float(doc["y"]),
-        theta=float(doc["theta"]),
+        x=x,
+        y=y,
+        theta=theta,
         class_name=str(doc["class"]),
         degenerate=bool(doc.get("degenerate", False)),
     )

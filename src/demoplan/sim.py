@@ -32,6 +32,8 @@ import hashlib
 import json
 import math
 from dataclasses import dataclass, field, replace
+from functools import cached_property
+from json.encoder import encode_basestring_ascii as _quote
 from pathlib import Path
 from typing import Iterable, Mapping
 
@@ -68,6 +70,18 @@ class SimObject:
     kind: str = ITEM
     turned: float = 0.0
     opened: bool = False
+
+    @cached_property
+    def _entry(self) -> str:
+        """This object's list in the digest document, encoded once per instance.
+
+        The cache is keyed on the instance, never on the value: -0.0 == 0.0,
+        but the two encode differently. replace() builds a new instance, so a
+        changed object is encoded again.
+        """
+        return json.dumps(
+            [self.class_name, self.x, self.y, self.theta, self.radius, self.kind, self.turned, self.opened]
+        )
 
 
 @dataclass(frozen=True)
@@ -141,21 +155,32 @@ class ExecutionTrace:
 
 
 def digest(world: WorldState) -> str:
-    """Deterministic hash of the full world state."""
-    doc = {
-        "width": world.width,
-        "height": world.height,
-        "clock": world.clock,
-        "gripper": [world.gripper.x, world.gripper.y, world.gripper.holding, world.gripper.closed],
-        "zone": None if world.zone is None else [world.zone.x, world.zone.y, world.zone.radius],
-        "inside": dict(sorted(world.inside.items())),
-        "poured": sorted(world.poured),
-        "objects": {
-            oid: [o.class_name, o.x, o.y, o.theta, o.radius, o.kind, o.turned, o.opened]
-            for oid, o in sorted(world.objects.items())
-        },
-    }
-    payload = json.dumps(doc, sort_keys=True)
+    """Deterministic hash of the full world state.
+
+    The payload is json.dumps(doc, sort_keys=True) of the document
+    {"clock", "gripper", "height", "inside", "objects", "poured", "width",
+    "zone"}, with each object as [class, x, y, theta, radius, kind, turned,
+    opened] under its id. The keys are written in sorted order here, and the
+    objects are spliced in from their cached entries.
+    """
+    g, z = world.gripper, world.zone
+    head = json.dumps(
+        {
+            "clock": world.clock,
+            "gripper": [g.x, g.y, g.holding, g.closed],
+            "height": world.height,
+            "inside": dict(sorted(world.inside.items())),
+        }
+    )
+    tail = json.dumps(
+        {
+            "poured": sorted(world.poured),
+            "width": world.width,
+            "zone": None if z is None else [z.x, z.y, z.radius],
+        }
+    )
+    objects = ", ".join(f"{_quote(oid)}: {o._entry}" for oid, o in sorted(world.objects.items()))
+    payload = f'{head[:-1]}, "objects": {{{objects}}}, {tail[1:]}'
     return hashlib.sha256(payload.encode("utf-8")).hexdigest()
 
 
@@ -410,25 +435,44 @@ def check_success(trace: ExecutionTrace, final: WorldState, spec: TaskSpec, cfg:
     raise ValueError(f"unknown task kind {kind!r}")
 
 
+def _finite(value: object, what: str) -> float:
+    number = float(value)
+    if not math.isfinite(number):
+        raise ValueError(f"{what} must be a finite number, not {number}")
+    return number
+
+
 def _task_from_json(doc: dict) -> TaskSpec:
     kind = str(doc["kind"])
     if kind not in _TASK_KINDS:
         raise ValueError(f"unknown task kind {kind!r}")
+    if not all(isinstance(doc.get(k), (str, type(None))) for k in ("object_class", "target_class")):
+        raise ValueError("task object_class and target_class must be strings")
+    bounds = {k: _finite(doc[k], f"task {k}") for k in ("containment_radius", "separation") if doc.get(k) is not None}
     return TaskSpec(
         kind=kind,
         object_class=doc.get("object_class"),
         target_class=doc.get("target_class"),
-        containment_radius=doc.get("containment_radius"),
-        separation=doc.get("separation"),
         parts=tuple(_task_from_json(part) for part in doc.get("parts", ())),
+        **bounds,
     )
 
 
 def load_scenario(path: str | Path) -> tuple[WorldState, TaskSpec, SimConfig]:
-    """Read a scenario file into a world, its task spec, and thresholds."""
+    """Read a scenario file into a world, its task spec, and thresholds.
+
+    A field of the wrong JSON type or a non-finite number is a ValueError.
+    """
     with open(path, "r", encoding="utf-8") as fh:
         doc = json.load(fh)
-    width, height = (float(v) for v in doc["workspace"])
+    try:
+        return _scenario_from_json(doc)
+    except (TypeError, AttributeError) as exc:
+        raise ValueError(f"scenario has a field of the wrong type ({exc})") from None
+
+
+def _scenario_from_json(doc: dict) -> tuple[WorldState, TaskSpec, SimConfig]:
+    width, height = (_finite(v, "workspace size") for v in doc["workspace"])
     if width <= 0 or height <= 0:
         raise ValueError("workspace dimensions must be positive")
     objects: dict[str, SimObject] = {}
@@ -436,10 +480,10 @@ def load_scenario(path: str | Path) -> tuple[WorldState, TaskSpec, SimConfig]:
         kind = str(obj.get("kind", ITEM))
         if kind not in KINDS:
             raise ValueError(f"object {obj.get('id')!r} has unknown kind {kind!r}")
-        x, y, theta = (float(v) for v in obj["pose"])
+        x, y, theta = (_finite(v, f"object {obj.get('id')!r} pose") for v in obj["pose"])
         if not (0.0 <= x <= width and 0.0 <= y <= height):
             raise ValueError(f"object {obj.get('id')!r} lies outside the workspace")
-        radius = float(obj["radius"])
+        radius = _finite(obj["radius"], f"object {obj.get('id')!r} radius")
         if radius <= 0:
             raise ValueError(f"object {obj.get('id')!r} needs a positive radius")
         objects[str(obj["id"])] = SimObject(
@@ -453,14 +497,15 @@ def load_scenario(path: str | Path) -> tuple[WorldState, TaskSpec, SimConfig]:
     zone = None
     if doc.get("delivery_zone"):
         z = doc["delivery_zone"]
-        zone = DeliveryZone(x=float(z["pose"][0]), y=float(z["pose"][1]), radius=float(z["radius"]))
-    gx, gy = (float(v) for v in doc.get("gripper_start", (0.0, 0.0)))
+        zx, zy, zr = (_finite(v, "delivery zone") for v in (z["pose"][0], z["pose"][1], z["radius"]))
+        zone = DeliveryZone(x=zx, y=zy, radius=zr)
+    gx, gy = (_finite(v, "gripper start") for v in doc.get("gripper_start", (0.0, 0.0)))
     thresholds = doc.get("thresholds", {})
     cfg = SimConfig(
-        reach=float(thresholds.get("reach", SimConfig.reach)),
-        contact=float(thresholds.get("contact", SimConfig.contact)),
-        cap_turn_angle=float(thresholds.get("cap_turn_angle", SimConfig.cap_turn_angle)),
-        open_turn_angle=float(thresholds.get("open_turn_angle", SimConfig.open_turn_angle)),
+        **{
+            name: _finite(thresholds.get(name, getattr(SimConfig, name)), f"threshold {name}")
+            for name in ("reach", "contact", "cap_turn_angle", "open_turn_angle")
+        }
     )
     task = _task_from_json(doc["task"])
     if task.kind == "push-away" and task.separation is None:

@@ -1,4 +1,5 @@
 import json
+import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -122,6 +123,67 @@ class TestFilterProperties:
         keys = window_filter(PrimitiveStream(tuple(frames)), w)
         assert all(a != b for a, b in zip(keys.keys, keys.keys[1:]))
         assert 1 <= len(keys) <= len(frames)
+
+
+def filter_by_definition(frames: tuple[ActionPrimitive, ...], w: int) -> tuple[ActionPrimitive, ...]:
+    """window_mode over every window of w+1 frames, consecutive repeats dropped."""
+    if len(frames) <= w:
+        return (window_mode(frames),)
+    keys: list[ActionPrimitive] = []
+    for i in range(len(frames) - w):
+        mode = window_mode(frames[i : i + w + 1])
+        if not keys or keys[-1] != mode:
+            keys.append(mode)
+    return tuple(keys)
+
+
+def noisy_runs(rng: random.Random, n: int, noise: float) -> tuple[ActionPrimitive, ...]:
+    """Runs of random length and label, each frame replaced at the noise rate."""
+    frames: list[ActionPrimitive] = []
+    while len(frames) < n:
+        frames.extend([rng.choice(PRIMITIVES)] * rng.randint(1, 40))
+    return tuple(rng.choice(PRIMITIVES) if rng.random() < noise else f for f in frames[:n])
+
+
+class TestFilterMatchesDefinition:
+    """The running-count filter against window_mode applied to every window."""
+
+    def check(self, frames, w):
+        assert window_filter(PrimitiveStream(frames), w).keys == filter_by_definition(frames, w), (frames, w)
+
+    @pytest.mark.parametrize("w", [1, 3, 5])
+    def test_tied_windows(self, w):
+        # w+1 even: every window of an alternating stream is a tie
+        self.check((MOVE, PICK) * 20, w)
+        self.check((IDLE, PICK, PICK, IDLE, MOVE, MOVE) * 8, w)
+        self.check((IDLE,) * ((w + 1) // 2) + (PICK,) * (w + 1) + (IDLE,) * (w + 1), w)
+
+    @pytest.mark.parametrize("w", [1, 2, 15])
+    def test_window_at_least_as_wide_as_the_stream(self, w):
+        rng = random.Random(w)
+        for n in range(1, w + 2):
+            self.check(tuple(rng.choice(PRIMITIVES) for _ in range(n)), w)
+
+    @pytest.mark.parametrize("w", [1, 4, 15])
+    def test_one_label(self, w):
+        self.check((PLACE,) * 50, w)
+
+    def test_seeded_random_streams(self):
+        rng = random.Random(2024)
+        for _ in range(1500):
+            n = rng.randint(1, 200)
+            w = rng.choice([1, 2, rng.randint(1, 30), n, n + 3])
+            if rng.random() < 0.5:
+                frames = tuple(rng.choice(PRIMITIVES[: rng.randint(1, 7)]) for _ in range(n))
+            else:
+                frames = noisy_runs(rng, n, 0.10)
+            self.check(frames, w)
+
+    @pytest.mark.parametrize("w", [1, 7, 15])
+    def test_runs_with_ten_percent_noise(self, w):
+        rng = random.Random(w)
+        for _ in range(30):
+            self.check(noisy_runs(rng, 600, 0.10), w)
 
 
 class TestSynthesizeStream:

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 
@@ -216,6 +217,58 @@ class TestRun:
         assert "unknown task kind 'juggle'" in assert_parse_error(code, capsys)
 
 
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            {"task": 5},
+            {"delivery_zone": 5},
+            {"task": {"kind": "composite", "parts": [1]}},
+            {"task": {"kind": "pick-place", "object_class": 5, "target_class": "plastic-box"}},
+            {"objects": [1]},
+            {"thresholds": 5},
+            [1],
+        ],
+    )
+    def test_mistyped_scenario_exits_2(self, capsys, tmp_path, pick_place_plan, edit):
+        doc = json.loads(fixtures.scenario_path("pick_place").read_text())
+        scenario = tmp_path / "scenario.json"
+        scenario.write_text(json.dumps({**doc, **edit} if isinstance(edit, dict) else edit))
+        code = run_cli("run", "--plan", str(pick_place_plan), "--scenario", str(scenario))
+        assert_parse_error(code, capsys)
+
+    @pytest.mark.parametrize(
+        "path, value",
+        [
+            (("objects", 0, "radius"), math.nan),
+            (("objects", 0, "pose", 2), math.inf),
+            (("thresholds", "reach"), math.nan),
+            (("delivery_zone",), {"pose": [0.5, math.nan], "radius": 0.1}),
+            (("delivery_zone",), {"pose": [0.5, 0.5], "radius": math.inf}),
+            (("workspace", 0), math.nan),
+            (("task", "containment_radius"), math.nan),
+        ],
+    )
+    def test_non_finite_scenario_exits_2(self, capsys, tmp_path, pick_place_plan, path, value):
+        doc = json.loads(fixtures.scenario_path("pick_place").read_text())
+        node = doc
+        for key in path[:-1]:
+            node = node[key]
+        node[path[-1]] = value
+        scenario = tmp_path / "scenario.json"
+        scenario.write_text(json.dumps(doc))
+        code = run_cli("run", "--plan", str(pick_place_plan), "--scenario", str(scenario))
+        assert "finite" in assert_parse_error(code, capsys)
+
+    def test_non_finite_plan_pose_exits_2(self, capsys, tmp_path, pick_place_plan):
+        steps = json.loads(pick_place_plan.read_text())
+        pose = next(s["primary"] for s in steps if s["primary"] is not None)
+        pose["x"] = math.nan
+        plan = tmp_path / "plan.json"
+        plan.write_text(json.dumps(steps))
+        code = run_cli("run", "--plan", str(plan), "--scenario", str(fixtures.scenario_path("pick_place")))
+        assert "not finite" in assert_parse_error(code, capsys)
+
+
 class TestBench:
     def test_deterministic_outputs(self, capsys, tmp_path):
         out_a, out_b = tmp_path / "a", tmp_path / "b"
@@ -226,6 +279,15 @@ class TestBench:
             assert code == 0
         assert (out_a / "bench.tsv").read_bytes() == (out_b / "bench.tsv").read_bytes()
         assert (out_a / "summary.json").read_bytes() == (out_b / "summary.json").read_bytes()
+
+    def test_outputs_are_byte_identical_to_the_pinned_run(self, capsys, tmp_path):
+        """The ROADMAP's byte-identity gate: a speedup must not move a byte of these files."""
+        assert run_cli("bench", "--trials", "100", "--noise", "0.10", "--seed", "0", "--out", str(tmp_path)) == 0
+        sha = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() for name in ("summary.json", "bench.tsv")}
+        assert sha == {
+            "summary.json": "9d372fd65b87d1c65b365e00e82edb90054a367cedb0cf754c5c345913292dd1",
+            "bench.tsv": "a61ac72e8bd5a94070c7f28c0977808f9c2174c9897d7683bc6e8d096239a538",
+        }
 
     def test_clean_run_is_perfect(self, capsys, tmp_path):
         out = tmp_path / "clean"
@@ -260,3 +322,9 @@ class TestCorpusStats:
     def test_unreadable_corpus_exits_2(self, tmp_path, capsys):
         missing = tmp_path / "none.txt"
         assert run_cli("corpus", "stats", "--corpus", str(missing)) == 2
+
+    @pytest.mark.parametrize("doc", [{"verbs": 5, "objects": [1]}, [1], {"verbs": {"pick": "pick"}, "objects": 5}])
+    def test_mistyped_lexicon_exits_2(self, tmp_path, capsys, doc):
+        lexicon = tmp_path / "lexicon.json"
+        lexicon.write_text(json.dumps(doc))
+        assert_parse_error(run_cli("corpus", "stats", "--lexicon", str(lexicon)), capsys)

@@ -2,6 +2,7 @@ import hashlib
 import json
 import math
 import random
+from dataclasses import replace
 
 import pytest
 from worldgen import random_action, random_world
@@ -441,3 +442,68 @@ class TestReasonSignature:
                 if reason is None:
                     world = nxt
         assert h.hexdigest() == self.EXPECTED
+
+
+def plain_digest(world):
+    """sha256 of json.dumps over the whole state document, encoded in one go."""
+    doc = {
+        "width": world.width,
+        "height": world.height,
+        "clock": world.clock,
+        "gripper": [world.gripper.x, world.gripper.y, world.gripper.holding, world.gripper.closed],
+        "zone": None if world.zone is None else [world.zone.x, world.zone.y, world.zone.radius],
+        "inside": dict(sorted(world.inside.items())),
+        "poured": sorted(world.poured),
+        "objects": {
+            oid: [o.class_name, o.x, o.y, o.theta, o.radius, o.kind, o.turned, o.opened]
+            for oid, o in sorted(world.objects.items())
+        },
+    }
+    return hashlib.sha256(json.dumps(doc, sort_keys=True).encode("utf-8")).hexdigest()
+
+
+class TestDigestEncoding:
+    """digest splices cached per-object entries; it must hash the plain encoding's bytes."""
+
+    def test_fuzzed_worlds(self):
+        rng = random.Random(7)
+        world = random_world(rng)
+        for step in range(400):
+            if step % 40 == 0:
+                world = random_world(rng)
+            world, _ = apply_primitive(world, random_action(rng, world), CFG)
+            assert digest(world) == plain_digest(world)
+
+    def test_negative_zero_is_not_zero(self):
+        a = world_with({"apple-0": obj("apple", 0.0, 0.5)})
+        b = world_with({"apple-0": obj("apple", -0.0, 0.5)})
+        assert a == b  # -0.0 == 0.0, and the two compare and hash alike
+        assert digest(a) == plain_digest(a) and digest(b) == plain_digest(b)
+        assert digest(a) != digest(b)
+
+    def test_quotes_and_non_ascii_in_ids_and_classes(self):
+        world = world_with(
+            {
+                'a"b\\c': obj('cl"ass', 0.1, 0.2),
+                "äpfel-0": obj("äpfel", 0.3, 0.4),
+                "箱-1": obj("箱", 0.5, 0.6, kind=CONTAINER),
+            }
+        )
+        world = replace(world, inside={'a"b\\c': "箱-1"}, poured={("äpfel-0", "箱-1")})
+        assert digest(world) == plain_digest(world)
+
+    def test_zone_empty_world_and_relations(self):
+        empty = world_with({})
+        zoned = world_with({}, zone=DeliveryZone(0.8, 0.75, 0.08))
+        full = WorldState(
+            width=1,
+            height=0.9,
+            objects={"box-0": obj("box", 0.5, 0.5, kind=CONTAINER), "apple-1": obj("apple", 0.5, 0.5)},
+            gripper=Gripper(x=0.5, y=0.5, holding="box-0", closed=True),
+            zone=None,
+            inside={"apple-1": "box-0"},
+            poured={("apple-1", "box-0"), ("box-0", "apple-1")},
+            clock=12,
+        )
+        for world in (empty, zoned, full):
+            assert digest(world) == plain_digest(world)
