@@ -22,6 +22,7 @@ from .knowledge import (
     build_model,
     conditional_probability,
     parse_sentence,
+    rank_candidates,
     select_object_pair,
     select_single_object,
 )
@@ -75,6 +76,7 @@ __all__ = [
     "load_scenario",
     "parse_sentence",
     "principal_angle",
+    "rank_candidates",
     "run_plan",
     "select_object_pair",
     "select_single_object",

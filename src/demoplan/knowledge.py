@@ -12,13 +12,13 @@ per (action, object) pair no matter how often the object is repeated.
 
 from __future__ import annotations
 
-import json
 import re
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
 from .actions import ActionPrimitive
+from .jsondoc import load_json
 
 _TOKEN_RE = re.compile(r"[a-z0-9]+(?:-[a-z0-9]+)*")
 
@@ -154,15 +154,21 @@ def conditional_probability(model: CooccurrenceModel, obj: str, action: ActionPr
     return model.count(action, obj) / total
 
 
-def rank_objects(model: CooccurrenceModel, action: ActionPrimitive) -> list[str]:
-    """Objects with positive count for the action, most frequent first.
+def rank_candidates(model: CooccurrenceModel, action: ActionPrimitive, candidates: Iterable[str]) -> list[str]:
+    """The distinct candidates ordered by (-N(action, obj), name).
 
-    Ties are ordered lexicographically so the ranking is deterministic.
+    This is the one selection order: P(obj | action) = N(action, obj) / N(action)
+    ranks objects as their counts do, and equal counts fall back to the
+    lexicographically smaller name. A choice of the first k candidates is low
+    confidence when the k-th has no count.
     """
+    return sorted(set(candidates), key=lambda o: (-model.count(action, o), o))
+
+
+def rank_objects(model: CooccurrenceModel, action: ActionPrimitive) -> list[str]:
+    """Objects with positive count for the action, most frequent first, ties lexicographic."""
     table = model.counts.get(action, {})
-    positive = [(o, n) for o, n in table.items() if n > 0]
-    positive.sort(key=lambda item: (-item[1], item[0]))
-    return [o for o, _ in positive]
+    return rank_candidates(model, action, (o for o, n in table.items() if n > 0))
 
 
 @dataclass(frozen=True)
@@ -185,23 +191,16 @@ def select_single_object(
 ) -> SingleChoice:
     """Argmax of P(obj | action) over the detected set for one-object actions.
 
-    Ties break toward the higher raw count and then the lexicographically
-    smaller name. When every detected object has zero probability the
-    lexicographically smallest is returned flagged low confidence, so a
-    plan can proceed rather than deadlock.
+    Ties break toward the lexicographically smaller name. When every detected
+    object has zero probability the lexicographically smallest is returned
+    flagged low confidence, so a plan can proceed rather than deadlock.
     """
     if action not in SINGLE_OBJECT_ACTIONS:
         raise ValueError(f"{action.value} is not a one-object action")
-    candidates = sorted(set(detected))
-    if not candidates:
+    ranked = rank_candidates(model, action, detected)
+    if not ranked:
         raise ValueError("detected set must be non-empty")
-    best = max(
-        candidates,
-        key=lambda o: (conditional_probability(model, o, action), model.count(action, o)),
-    )
-    if model.count(action, best) == 0:
-        return SingleChoice(name=candidates[0], low_confidence=True)
-    return SingleChoice(name=best, low_confidence=False)
+    return SingleChoice(name=ranked[0], low_confidence=model.count(action, ranked[0]) == 0)
 
 
 def select_object_pair(
@@ -211,32 +210,16 @@ def select_object_pair(
 ) -> PairChoice:
     """Pick (manipulated, target) objects for two-object actions.
 
-    Corpus objects are ranked by N(action, obj) descending (ties
-    lexicographic); the first ranked object present in the detected set
-    becomes the manipulated one and the next distinct ranked object present
-    becomes the target. Slots the ranking cannot fill fall back to
-    lexicographic order over the remaining detected objects and mark the
-    choice low confidence.
+    The first two detected objects in rank_candidates order become the
+    manipulated object and the target; the choice is low confidence when the
+    target has no count, i.e. when fewer than two detected objects are ranked.
     """
     if action not in PAIR_ACTIONS:
         raise ValueError(f"{action.value} is not a two-object action")
-    pool = sorted(set(detected))
-    if len(pool) < 2:
-        raise SelectionError(f"{action.value} needs two detected objects, got {len(pool)}")
-    ranked_hits = [o for o in rank_objects(model, action) if o in set(pool)]
-    chosen: list[str] = []
-    for name in ranked_hits:
-        if name not in chosen:
-            chosen.append(name)
-        if len(chosen) == 2:
-            break
-    low_confidence = len(chosen) < 2
-    for name in pool:
-        if len(chosen) == 2:
-            break
-        if name not in chosen:
-            chosen.append(name)
-    return PairChoice(primary=chosen[0], target=chosen[1], low_confidence=low_confidence)
+    ranked = rank_candidates(model, action, detected)
+    if len(ranked) < 2:
+        raise SelectionError(f"{action.value} needs two detected objects, got {len(ranked)}")
+    return PairChoice(primary=ranked[0], target=ranked[1], low_confidence=model.count(action, ranked[1]) == 0)
 
 
 def load_corpus(path: str | Path) -> list[str]:
@@ -252,8 +235,7 @@ def load_corpus(path: str | Path) -> list[str]:
 
 
 def load_lexicon(path: str | Path) -> Lexicon:
-    with open(path, "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
+    doc = load_json(path, "lexicon")
     if not (isinstance(doc, dict) and isinstance(doc.get("verbs"), dict) and isinstance(doc.get("objects"), list)):
         raise ValueError("lexicon must be an object with a 'verbs' object and an 'objects' list")
     verbs = {str(v).lower(): ActionPrimitive.parse(p) for v, p in doc["verbs"].items()}

@@ -1,13 +1,14 @@
 """Bind a key action sequence to concrete scene objects.
 
 Each key primitive is grounded against the sensed scene using the
-co-occurrence model: one-object actions take the argmax object, two-object
-actions take the ranked pair. The binder walks a holding flag so that the
-object in the gripper shapes later queries:
+co-occurrence model: a step takes as many objects as it acts on from the
+head of the candidates ordered by (-N(action, obj), name), which is the
+argmax of P(obj | action) with ties broken by name. The binder walks a
+holding flag so that the object in the gripper shapes later queries:
 
-  - the held class is excluded when choosing place/tilt targets,
-  - classes already picked earlier in the plan are excluded from later pick
-    queries (a demonstration handles each object at most once),
+  - the held class is never a candidate,
+  - classes already picked earlier in the plan are candidates only for
+    place (a demonstration handles each object at most once),
   - tilt while holding needs only a target; the held object is implicit and
     is set down when the pour finishes,
   - rotate grounds to the held object when there is one.
@@ -31,13 +32,8 @@ from pathlib import Path
 from typing import Sequence
 
 from .actions import ActionPrimitive, KeySequence
-from .knowledge import (
-    CooccurrenceModel,
-    SelectionError,
-    rank_objects,
-    select_object_pair,
-    select_single_object,
-)
+from .jsondoc import load_json
+from .knowledge import CooccurrenceModel, rank_candidates
 from .pose import ObjectPose
 
 NORMAL = "normal"
@@ -98,15 +94,14 @@ def arity(primitive: ActionPrimitive, holding: bool) -> int:
     raise ValueError(f"unknown primitive {primitive!r}")
 
 
-def _pose_for(poses: Sequence[ObjectPose], class_name: str) -> ObjectPose:
-    for pose in poses:
-        if pose.class_name == class_name:
-            return pose
-    raise KeyError(class_name)
-
-
-def _flag(*low_confidence: bool) -> str:
-    return LOW_CONFIDENCE if any(low_confidence) else NORMAL
+# Why a one-object step finds nothing to bind; a two-object step says how
+# many candidates it had instead.
+_NO_CANDIDATE = {
+    ActionPrimitive.PICK: "no candidate object left to pick",
+    ActionPrimitive.PLACE: "no candidate target for place",
+    ActionPrimitive.ROTATE: "no candidate object to rotate",
+    ActionPrimitive.TILT: "no candidate pour target",
+}
 
 
 def bind_plan(
@@ -116,92 +111,56 @@ def bind_plan(
 ) -> BoundPlan:
     """Ground every key primitive against the sensed scene poses.
 
+    Each grounded step binds the first arity(key, holding) candidates in
+    rank_candidates order, the first pose of each class standing for it; the
+    step is low confidence when the last of them has no count. Candidates are
+    the detected classes other than the held one and, except for place, the
+    ones already picked.
+
     Raises BindingError when a step cannot be grounded at all (for example a
     two-object action with fewer than two candidate objects). Ill-ordered
     sequences (place before pick) still bind; validate_plan reports them.
     """
-    detected = [p.class_name for p in poses]
-    detected_set = set(detected)
+    first_pose: dict[str, ObjectPose] = {}
+    for pose in poses:
+        first_pose.setdefault(pose.class_name, pose)
     holding: str | None = None
     picked: set[str] = set()
     steps: list[BoundAction | None] = []
 
     for idx, key in enumerate(keys):
-        if key == ActionPrimitive.IDLE:
-            steps.append(BoundAction(key))
-        elif key == ActionPrimitive.MOVE:
-            steps.append(None)  # resolved against the next grounded step below
-        elif key == ActionPrimitive.PICK:
-            candidates = detected_set - picked - {holding}
-            if not candidates:
-                raise BindingError(idx, "no candidate object left to pick")
-            choice = select_single_object(model, key, candidates)
-            steps.append(
-                BoundAction(key, primary=_pose_for(poses, choice.name), confidence=_flag(choice.low_confidence))
-            )
-            picked.add(choice.name)
-            holding = choice.name
-        elif key == ActionPrimitive.PLACE:
-            candidates = detected_set - {holding}
-            if not candidates:
-                raise BindingError(idx, "no candidate target for place")
-            choice = select_single_object(model, key, candidates)
-            steps.append(
-                BoundAction(key, target=_pose_for(poses, choice.name), confidence=_flag(choice.low_confidence))
-            )
-            holding = None
-        elif key == ActionPrimitive.ROTATE:
-            if holding is not None:
-                steps.append(BoundAction(key, primary=_pose_for(poses, holding)))
-            else:
-                candidates = detected_set - picked
-                if not candidates:
-                    raise BindingError(idx, "no candidate object to rotate")
-                choice = select_single_object(model, key, candidates)
-                steps.append(
-                    BoundAction(
-                        key, primary=_pose_for(poses, choice.name), confidence=_flag(choice.low_confidence)
-                    )
-                )
-        elif arity(key, holding is not None) == 2:  # push, or tilt with an empty gripper
-            try:
-                pair = select_object_pair(model, key, detected_set - picked - {holding})
-            except SelectionError as exc:
-                raise BindingError(idx, str(exc)) from None
-            steps.append(
-                BoundAction(
-                    key,
-                    primary=_pose_for(poses, pair.primary),
-                    target=_pose_for(poses, pair.target),
-                    confidence=_flag(pair.low_confidence),
-                )
-            )
-        else:  # tilt while holding
-            candidates = detected_set - picked - {holding}
-            if not candidates:
-                raise BindingError(idx, "no candidate pour target")
-            ranked = [o for o in rank_objects(model, key) if o in candidates]
-            if ranked:
-                name, low = ranked[0], False
-            else:
-                name, low = sorted(candidates)[0], True
-            steps.append(BoundAction(key, target=_pose_for(poses, name), confidence=_flag(low)))
-            holding = None  # the poured object is set down beside the target
-
-    # Second pass: each move approaches the next grounded step's anchor.
-    resolved: list[BoundAction] = []
-    for idx, step in enumerate(steps):
-        if step is not None:
-            resolved.append(step)
+        k = arity(key, holding is not None)
+        if k == 0:  # a move is resolved against the next grounded step below
+            steps.append(None if key == ActionPrimitive.MOVE else BoundAction(key))
             continue
-        approach: ObjectPose | None = None
-        for later in steps[idx + 1 :]:
-            if later is not None and later.anchor() is not None:
-                approach = later.anchor()
-                break
-        resolved.append(BoundAction(ActionPrimitive.MOVE, target=approach))
+        if key == ActionPrimitive.ROTATE and holding is not None:
+            steps.append(BoundAction(key, primary=first_pose[holding]))
+            continue
+        pool = first_pose.keys() - {holding} - (set() if key == ActionPrimitive.PLACE else picked)
+        if len(pool) < k:
+            reason = _NO_CANDIDATE[key] if k == 1 else f"{key.value} needs two detected objects, got {len(pool)}"
+            raise BindingError(idx, reason)
+        chosen = rank_candidates(model, key, pool)[:k]
+        target_only = k == 1 and key in (ActionPrimitive.PLACE, ActionPrimitive.TILT)
+        slots = ("target",) if target_only else ("primary", "target")[:k]
+        confidence = LOW_CONFIDENCE if model.count(key, chosen[-1]) == 0 else NORMAL
+        steps.append(BoundAction(key, confidence=confidence, **{s: first_pose[o] for s, o in zip(slots, chosen)}))
+        if key == ActionPrimitive.PICK:
+            picked.add(chosen[0])
+            holding = chosen[0]
+        elif key in (ActionPrimitive.PLACE, ActionPrimitive.TILT):
+            holding = None  # a poured object is set down beside the target
 
-    return BoundPlan(steps=tuple(resolved), keys=tuple(keys.keys))
+    # Each move approaches the anchor of the next grounded step, if any.
+    approach: ObjectPose | None = None
+    for idx in reversed(range(len(steps))):
+        step = steps[idx]
+        if step is None:
+            steps[idx] = BoundAction(ActionPrimitive.MOVE, target=approach)
+        elif step.anchor() is not None:
+            approach = step.anchor()
+
+    return BoundPlan(steps=tuple(steps), keys=tuple(keys.keys))
 
 
 def validate_plan(plan: BoundPlan) -> list[str]:
@@ -291,8 +250,7 @@ def dump_plan(plan: BoundPlan, path: str | Path) -> None:
 
 
 def load_plan(path: str | Path) -> BoundPlan:
-    with open(path, "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
+    doc = load_json(path, "plan")
     if not isinstance(doc, list) or not all(isinstance(item, dict) for item in doc):
         raise ValueError("plan file must be a JSON list of step objects")
     try:

@@ -13,12 +13,13 @@ is what to_world applies.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, replace
 from operator import mul
 from pathlib import Path
 from typing import Sequence
+
+from .jsondoc import load_json
 
 # Eigenvalue ratio below which a mask is treated as isotropic.
 ISO_EPS = 0.05
@@ -146,8 +147,7 @@ def load_mask_file(path: str | Path) -> DetectedScene:
     encoding ([y, x_start, run_len] triples); both decode to the same pixel
     set and therefore the same pose. Duplicate pixels are rejected.
     """
-    with open(path, "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
+    doc = load_json(path, "mask file")
     objects = doc.get("objects") if isinstance(doc, dict) else None
     if not isinstance(objects, list):
         raise ValueError("mask file must be an object with an 'objects' list")
@@ -172,8 +172,7 @@ def load_mask_file(path: str | Path) -> DetectedScene:
 
 
 def load_calibration(path: str | Path) -> Calibration:
-    with open(path, "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
+    doc = load_json(path, "calibration")
     try:
         origin = (float(doc["origin"][0]), float(doc["origin"][1]))
         size = tuple(int(v) for v in doc.get("image_size", (600, 600)))

@@ -38,6 +38,7 @@ from pathlib import Path
 from typing import Iterable, Mapping
 
 from .actions import ActionPrimitive
+from .jsondoc import load_json
 from .planner import BoundAction, BoundPlan, bound_action_to_json
 from .pose import ObjectPose
 
@@ -442,13 +443,20 @@ def _finite(value: object, what: str) -> float:
     return number
 
 
+def _positive(value: object, what: str) -> float:
+    number = _finite(value, what)
+    if number <= 0:
+        raise ValueError(f"{what} must be positive, not {number}")
+    return number
+
+
 def _task_from_json(doc: dict) -> TaskSpec:
     kind = str(doc["kind"])
     if kind not in _TASK_KINDS:
         raise ValueError(f"unknown task kind {kind!r}")
     if not all(isinstance(doc.get(k), (str, type(None))) for k in ("object_class", "target_class")):
         raise ValueError("task object_class and target_class must be strings")
-    bounds = {k: _finite(doc[k], f"task {k}") for k in ("containment_radius", "separation") if doc.get(k) is not None}
+    bounds = {k: _positive(doc[k], f"task {k}") for k in ("containment_radius", "separation") if doc.get(k) is not None}
     return TaskSpec(
         kind=kind,
         object_class=doc.get("object_class"),
@@ -461,10 +469,11 @@ def _task_from_json(doc: dict) -> TaskSpec:
 def load_scenario(path: str | Path) -> tuple[WorldState, TaskSpec, SimConfig]:
     """Read a scenario file into a world, its task spec, and thresholds.
 
-    A field of the wrong JSON type or a non-finite number is a ValueError.
+    A missing field, a field of the wrong JSON type, a non-finite number, a
+    non-positive size, radius or threshold, a repeated object id, or an object
+    or gripper start outside the workspace is a ValueError.
     """
-    with open(path, "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
+    doc = load_json(path, "scenario")
     try:
         return _scenario_from_json(doc)
     except (TypeError, AttributeError) as exc:
@@ -472,9 +481,7 @@ def load_scenario(path: str | Path) -> tuple[WorldState, TaskSpec, SimConfig]:
 
 
 def _scenario_from_json(doc: dict) -> tuple[WorldState, TaskSpec, SimConfig]:
-    width, height = (_finite(v, "workspace size") for v in doc["workspace"])
-    if width <= 0 or height <= 0:
-        raise ValueError("workspace dimensions must be positive")
+    width, height = (_positive(v, "workspace size") for v in doc["workspace"])
     objects: dict[str, SimObject] = {}
     for obj in doc["objects"]:
         kind = str(obj.get("kind", ITEM))
@@ -483,10 +490,11 @@ def _scenario_from_json(doc: dict) -> tuple[WorldState, TaskSpec, SimConfig]:
         x, y, theta = (_finite(v, f"object {obj.get('id')!r} pose") for v in obj["pose"])
         if not (0.0 <= x <= width and 0.0 <= y <= height):
             raise ValueError(f"object {obj.get('id')!r} lies outside the workspace")
-        radius = _finite(obj["radius"], f"object {obj.get('id')!r} radius")
-        if radius <= 0:
-            raise ValueError(f"object {obj.get('id')!r} needs a positive radius")
-        objects[str(obj["id"])] = SimObject(
+        radius = _positive(obj["radius"], f"object {obj.get('id')!r} radius")
+        oid = str(obj["id"])
+        if oid in objects:
+            raise ValueError(f"object id {oid!r} is not unique")
+        objects[oid] = SimObject(
             class_name=str(obj["class"]),
             x=x,
             y=y,
@@ -497,13 +505,15 @@ def _scenario_from_json(doc: dict) -> tuple[WorldState, TaskSpec, SimConfig]:
     zone = None
     if doc.get("delivery_zone"):
         z = doc["delivery_zone"]
-        zx, zy, zr = (_finite(v, "delivery zone") for v in (z["pose"][0], z["pose"][1], z["radius"]))
-        zone = DeliveryZone(x=zx, y=zy, radius=zr)
+        zx, zy = (_finite(v, "delivery zone") for v in (z["pose"][0], z["pose"][1]))
+        zone = DeliveryZone(x=zx, y=zy, radius=_positive(z["radius"], "delivery zone radius"))
     gx, gy = (_finite(v, "gripper start") for v in doc.get("gripper_start", (0.0, 0.0)))
+    if not (0.0 <= gx <= width and 0.0 <= gy <= height):
+        raise ValueError("gripper start lies outside the workspace")
     thresholds = doc.get("thresholds", {})
     cfg = SimConfig(
         **{
-            name: _finite(thresholds.get(name, getattr(SimConfig, name)), f"threshold {name}")
+            name: _positive(thresholds.get(name, getattr(SimConfig, name)), f"threshold {name}")
             for name in ("reach", "contact", "cap_turn_angle", "open_turn_angle")
         }
     )

@@ -152,6 +152,17 @@ class TestPlan:
         )
         assert_parse_error(code, capsys)
 
+    def test_calibration_without_scale_names_the_field(self, capsys, tmp_path):
+        cal = tmp_path / "cal.json"
+        cal.write_text(json.dumps({"origin": [0.0, 0.0]}))
+        code = run_cli(
+            "plan",
+            "--labels", str(fixtures.labels_path("pick_place")),
+            "--masks", str(fixtures.masks_path("pick_place")),
+            "--calibration", str(cal),
+        )
+        assert "calibration is missing field 'scale'" in assert_parse_error(code, capsys)
+
     def test_boolean_frame_exits_2(self, capsys, tmp_path):
         labels = tmp_path / "labels.jsonl"
         labels.write_text(json.dumps({"frame": 0, "label": "idle"}) + "\n" + json.dumps({"frame": True, "label": "idle"}))
@@ -268,6 +279,53 @@ class TestRun:
         code = run_cli("run", "--plan", str(plan), "--scenario", str(fixtures.scenario_path("pick_place")))
         assert "not finite" in assert_parse_error(code, capsys)
 
+
+    def run_edited_scenario(self, tmp_path, plan, edit):
+        doc = json.loads(fixtures.scenario_path("pick_place").read_text())
+        edit(doc)
+        scenario = tmp_path / "scenario.json"
+        scenario.write_text(json.dumps(doc))
+        return run_cli("run", "--plan", str(plan), "--scenario", str(scenario))
+
+    def test_duplicate_object_id_exits_2(self, capsys, tmp_path, pick_place_plan):
+        code = self.run_edited_scenario(tmp_path, pick_place_plan, lambda doc: doc["objects"].append(doc["objects"][0]))
+        assert "object id 'banana-0' is not unique" in assert_parse_error(code, capsys)
+
+    @pytest.mark.parametrize(
+        "path, value",
+        [
+            (("thresholds", "reach"), -1),
+            (("thresholds", "contact"), 0),
+            (("task", "containment_radius"), -1),
+            (("task", "separation"), 0),
+            (("delivery_zone",), {"pose": [0.5, 0.5], "radius": -1}),
+        ],
+    )
+    def test_non_positive_length_exits_2(self, capsys, tmp_path, pick_place_plan, path, value):
+        def edit(doc):
+            node = doc
+            for key in path[:-1]:
+                node = node[key]
+            node[path[-1]] = value
+
+        code = self.run_edited_scenario(tmp_path, pick_place_plan, edit)
+        assert "must be positive" in assert_parse_error(code, capsys)
+
+    def test_gripper_start_outside_workspace_exits_2(self, capsys, tmp_path, pick_place_plan):
+        code = self.run_edited_scenario(tmp_path, pick_place_plan, lambda doc: doc.update(gripper_start=[5, 5]))
+        assert "gripper start lies outside the workspace" in assert_parse_error(code, capsys)
+
+    def test_scenario_without_workspace_names_the_field(self, capsys, tmp_path, pick_place_plan):
+        code = self.run_edited_scenario(tmp_path, pick_place_plan, lambda doc: doc.pop("workspace"))
+        assert "scenario is missing field 'workspace'" in assert_parse_error(code, capsys)
+
+    def test_plan_step_without_primitive_names_the_field(self, capsys, tmp_path, pick_place_plan):
+        steps = json.loads(pick_place_plan.read_text())
+        del steps[2]["primitive"]
+        plan = tmp_path / "plan.json"
+        plan.write_text(json.dumps(steps))
+        code = run_cli("run", "--plan", str(plan), "--scenario", str(fixtures.scenario_path("pick_place")))
+        assert "plan is missing field 'primitive'" in assert_parse_error(code, capsys)
 
 class TestBench:
     def test_deterministic_outputs(self, capsys, tmp_path):

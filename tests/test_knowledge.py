@@ -1,4 +1,5 @@
 import itertools
+import random
 
 import pytest
 
@@ -15,6 +16,7 @@ from demoplan.knowledge import (
     load_corpus,
     load_lexicon,
     parse_sentence,
+    rank_candidates,
     rank_objects,
     select_object_pair,
     select_single_object,
@@ -119,6 +121,16 @@ class TestConditionalProbability:
         assert total == pytest.approx(1.0)
 
 
+class TestRankCandidates:
+    def test_count_descending_then_name_without_duplicates(self):
+        model = CooccurrenceModel.from_counts({PICK: {"pear": 2, "corn": 2, "apple": 0, "grape": 5}})
+        ranked = rank_candidates(model, PICK, ["pear", "", "apple", "corn", "pear", "grape", "kiwi"])
+        assert ranked == ["grape", "corn", "pear", "", "apple", "kiwi"]
+
+    def test_unseen_action_is_lexicographic(self):
+        model = CooccurrenceModel.from_counts({PICK: {"pear": 2}})
+        assert rank_candidates(model, PUSH, {"pear", "corn"}) == ["corn", "pear"]
+
 class TestSelectSingleObject:
     def test_place_prefers_the_container(self, lex):
         corpus = ["place it on the plate"] * 4 + ["place the banana on the plate"]
@@ -185,6 +197,39 @@ class TestSelectObjectPair:
     def test_single_object_action_rejected(self, fixture_model):
         with pytest.raises(ValueError):
             select_object_pair(fixture_model, PICK, {"apple", "pear"})
+
+
+def literal_pair_oracle(counts, action, detected):
+    """The pair rule as worded: ranked hits first, then lexicographic fill.
+
+    Corpus objects ranked by N(action, obj) descending (ties lexicographic)
+    fill the slots in order when detected; slots the ranking cannot fill take
+    the remaining detected objects lexicographically and mark the choice low
+    confidence.
+    """
+    table = counts.get(action, {})
+    ranked = sorted((o for o, n in table.items() if n > 0), key=lambda o: (-table[o], o))
+    chosen = [o for o in ranked if o in detected][:2]
+    low_confidence = len(chosen) < 2
+    chosen += [o for o in sorted(detected) if o not in chosen][: 2 - len(chosen)]
+    return PairChoice(primary=chosen[0], target=chosen[1], low_confidence=low_confidence)
+
+
+class TestPairMatchesLiteralOracle:
+    def test_random_count_tables_and_pools(self):
+        rng = random.Random(3)
+        names = ["", "apple", "bowl", "corn", "cup", "grape", "pear", "plate"]
+        for _ in range(3000):
+            counts = {
+                action: {o: rng.randint(0, 4) for o in rng.sample(names, rng.randint(0, len(names)))}
+                for action in (PUSH, TILT)
+                if rng.random() < 0.9
+            }
+            model = CooccurrenceModel.from_counts(counts)
+            detected = set(rng.sample(names, rng.randint(2, 6)))
+            for action in (PUSH, TILT):
+                expected = literal_pair_oracle(counts, action, detected)
+                assert select_object_pair(model, action, detected) == expected, (counts, action, detected)
 
 
 def brute_force_single(sentences, lex, action, detected):

@@ -6,7 +6,7 @@ import pytest
 
 from demoplan import fixtures
 from demoplan.actions import ActionPrimitive, KeySequence, keys_from_names
-from demoplan.knowledge import build_model, load_corpus, load_lexicon
+from demoplan.knowledge import CooccurrenceModel, build_model, load_corpus, load_lexicon
 from demoplan.planner import (
     BindingError,
     BoundAction,
@@ -270,4 +270,42 @@ class TestBindingSignature:
                     h.update(f"{exc}\n".encode())
                     continue
                 h.update(f"{json.dumps(plan_to_json(plan), sort_keys=True)}|{validate_plan(plan)}\n".encode())
+        assert h.hexdigest() == self.EXPECTED
+
+
+class TestBindingSignatureRandomCounts:
+    """Plans, binding errors and violations over seeded random count tables, pinned by one hash.
+
+    The tables hold zero counts, and the scenes repeat classes and use the
+    class "", so every tie-break and low-confidence fallback is exercised.
+    """
+
+    EXPECTED = "5bb58cb0898c6876761f5cc049492c510d40d6feb4603cfff3aeba951ddc84a4"
+
+    def test_plans_errors_and_violations_are_unchanged(self):
+        rng = random.Random(5)
+        classes = ["", "apple", "bowl", "cup", "grape", "plate", "plastic-box"]
+        primitives = list(ActionPrimitive)
+        h = hashlib.sha256()
+        for _ in range(400):
+            counts = {
+                action: {c: rng.randint(0, 3) for c in rng.sample(classes, rng.randint(0, len(classes)))}
+                for action in primitives
+                if rng.random() < 0.8
+            }
+            model = CooccurrenceModel.from_counts(counts)
+            for _ in range(5):
+                names = [rng.choice(primitives)]
+                while len(names) < rng.randint(1, 8):
+                    names.append(rng.choice([p for p in primitives if p != names[-1]]))
+                keys = KeySequence(tuple(names))
+                for _ in range(5):
+                    detected = rng.choices(classes, k=rng.randint(0, 6))
+                    poses = [pose(c, rng.uniform(0, 0.9), rng.uniform(0, 0.9)) for c in detected]
+                    try:
+                        plan = bind_plan(keys, poses, model)
+                    except BindingError as exc:
+                        h.update(f"{exc.step_index}|{exc}\n".encode())
+                        continue
+                    h.update(f"{json.dumps(plan_to_json(plan), sort_keys=True)}|{validate_plan(plan)}\n".encode())
         assert h.hexdigest() == self.EXPECTED
