@@ -6,8 +6,10 @@ corpus, ``run`` executes a plan in a scenario world, ``bench`` sweeps the
 seven fixture tasks under synthetic noise, and ``corpus stats`` prints the
 co-occurrence table.
 
-Exit codes: 0 success, 1 task failure, 2 input parse error, 3 binding or
-validation error, 4 plan/scenario mismatch.
+Exit codes: 0 success, 1 task failure, 2 input parse error or unwritable
+output, 3 binding or validation error, 4 plan/scenario mismatch. main maps
+the OSError and ValueError of every loader and writer to 2 and BindingError
+to 3, so each prints one line.
 """
 
 from __future__ import annotations
@@ -42,12 +44,7 @@ def _write(path: str | None, text: str) -> None:
 
 
 def cmd_filter(args: argparse.Namespace) -> int:
-    try:
-        stream = load_label_stream(args.labels)
-        keys = window_filter(stream, args.window_width)
-    except (OSError, ValueError) as exc:
-        _err(str(exc))
-        return EXIT_PARSE
+    keys = window_filter(load_label_stream(args.labels), args.window_width)
     text = json.dumps([k.value for k in keys]) + "\n"
     sys.stdout.write(text)
     _write(args.out, text)
@@ -55,22 +52,12 @@ def cmd_filter(args: argparse.Namespace) -> int:
 
 
 def cmd_plan(args: argparse.Namespace) -> int:
-    try:
-        stream = load_label_stream(args.labels)
-        scene = load_mask_file(args.masks)
-        cal = load_calibration(args.calibration)
-        lexicon = load_lexicon(args.lexicon)
-        model = build_model(load_corpus(args.corpus), lexicon)
-        keys = window_filter(stream, args.window_width)
-    except (OSError, ValueError, KeyError) as exc:
-        _err(str(exc))
-        return EXIT_PARSE
-    poses = sense_scene(scene, cal)
-    try:
-        plan = bind_plan(keys, poses, model)
-    except BindingError as exc:
-        _err(str(exc))
-        return EXIT_BINDING
+    stream = load_label_stream(args.labels)
+    scene = load_mask_file(args.masks)
+    cal = load_calibration(args.calibration)
+    model = build_model(load_corpus(args.corpus), load_lexicon(args.lexicon))
+    keys = window_filter(stream, args.window_width)
+    plan = bind_plan(keys, sense_scene(scene, cal), model)
     violations = validate_plan(plan)
     if violations:
         for v in violations:
@@ -84,12 +71,8 @@ def cmd_plan(args: argparse.Namespace) -> int:
 
 
 def cmd_run(args: argparse.Namespace) -> int:
-    try:
-        plan = load_plan(args.plan)
-        world, task_spec, sim_cfg = load_scenario(args.scenario)
-    except (OSError, ValueError, KeyError) as exc:
-        _err(str(exc))
-        return EXIT_PARSE
+    plan = load_plan(args.plan)
+    world, task_spec, sim_cfg = load_scenario(args.scenario)
     scenario_classes = {o.class_name for o in world.objects.values()}
     for idx, step in enumerate(plan.steps):
         for pose in (step.primary, step.target):
@@ -119,13 +102,9 @@ def cmd_bench(args: argparse.Namespace) -> int:
         lexicon=Path(args.lexicon),
         calibration=Path(args.calibration),
     )
-    try:
-        if cfg.trials < 1:
-            raise ValueError("trials must be >= 1")
-        results = bench_mod.run_benchmark(cfg)
-    except (OSError, ValueError, KeyError) as exc:
-        _err(str(exc))
-        return EXIT_PARSE
+    if cfg.trials < 1:
+        raise ValueError("trials must be >= 1")
+    results = bench_mod.run_benchmark(cfg)
     sys.stdout.write(bench_mod.results_tsv(results))
     if args.out:
         bench_mod.write_outputs(cfg, results, args.out)
@@ -133,11 +112,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
 
 
 def cmd_corpus(args: argparse.Namespace) -> int:
-    try:
-        model = build_model(load_corpus(args.corpus), load_lexicon(args.lexicon))
-    except (OSError, ValueError, KeyError) as exc:
-        _err(str(exc))
-        return EXIT_PARSE
+    model = build_model(load_corpus(args.corpus), load_lexicon(args.lexicon))
     sys.stdout.write(stats_tsv(model))
     return EXIT_OK
 
@@ -190,7 +165,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except (OSError, ValueError) as exc:
+        _err(str(exc))
+        return EXIT_PARSE
+    except BindingError as exc:
+        _err(str(exc))
+        return EXIT_BINDING
 
 
 if __name__ == "__main__":

@@ -18,7 +18,7 @@ from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
 from .actions import ActionPrimitive
-from .jsondoc import load_json
+from .jsondoc import array, load_json, record
 
 _TOKEN_RE = re.compile(r"[a-z0-9]+(?:-[a-z0-9]+)*")
 
@@ -235,11 +235,9 @@ def load_corpus(path: str | Path) -> list[str]:
 
 
 def load_lexicon(path: str | Path) -> Lexicon:
-    doc = load_json(path, "lexicon")
-    if not (isinstance(doc, dict) and isinstance(doc.get("verbs"), dict) and isinstance(doc.get("objects"), list)):
-        raise ValueError("lexicon must be an object with a 'verbs' object and an 'objects' list")
-    verbs = {str(v).lower(): ActionPrimitive.parse(p) for v, p in doc["verbs"].items()}
-    objects = frozenset(str(o).lower() for o in doc["objects"])
+    doc = record(load_json(path, "lexicon"), "lexicon")
+    verbs = {str(v).lower(): ActionPrimitive.parse(p) for v, p in record(doc["verbs"], "lexicon verbs").items()}
+    objects = frozenset(str(o).lower() for o in array(doc["objects"], "lexicon objects"))
     return Lexicon(verbs=verbs, objects=objects)
 
 

@@ -26,13 +26,12 @@ approach pose in ``target`` or nothing.
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
 
 from .actions import ActionPrimitive, KeySequence
-from .jsondoc import load_json
+from .jsondoc import array, load_json, number, record
 from .knowledge import CooccurrenceModel, rank_candidates
 from .pose import ObjectPose
 
@@ -215,16 +214,14 @@ def _pose_to_json(pose: ObjectPose | None) -> dict | None:
     }
 
 
-def _pose_from_json(doc: dict | None) -> ObjectPose | None:
+def _pose_from_json(doc: object, name: str) -> ObjectPose | None:
     if doc is None:
         return None
-    x, y, theta = (float(doc[k]) for k in ("x", "y", "theta"))
-    if not all(map(math.isfinite, (x, y, theta))):
-        raise ValueError(f"plan pose ({x}, {y}, {theta}) is not finite")
+    doc = record(doc, name)
     return ObjectPose(
-        x=x,
-        y=y,
-        theta=theta,
+        x=number(doc["x"], f"{name} x"),
+        y=number(doc["y"], f"{name} y"),
+        theta=number(doc["theta"], f"{name} theta"),
         class_name=str(doc["class"]),
         degenerate=bool(doc.get("degenerate", False)),
     )
@@ -250,19 +247,15 @@ def dump_plan(plan: BoundPlan, path: str | Path) -> None:
 
 
 def load_plan(path: str | Path) -> BoundPlan:
-    doc = load_json(path, "plan")
-    if not isinstance(doc, list) or not all(isinstance(item, dict) for item in doc):
-        raise ValueError("plan file must be a JSON list of step objects")
-    try:
-        steps = tuple(
+    steps = []
+    for i, item in enumerate(array(load_json(path, "plan"), "plan")):
+        item = record(item, f"plan step {i}")
+        steps.append(
             BoundAction(
                 primitive=ActionPrimitive.parse(item["primitive"]),
-                primary=_pose_from_json(item.get("primary")),
-                target=_pose_from_json(item.get("target")),
+                primary=_pose_from_json(item.get("primary"), f"plan step {i} primary"),
+                target=_pose_from_json(item.get("target"), f"plan step {i} target"),
                 confidence=str(item.get("confidence", NORMAL)),
             )
-            for item in doc
         )
-    except TypeError:
-        raise ValueError("plan poses must be objects with numeric 'x', 'y', 'theta' and a 'class'") from None
-    return BoundPlan(steps=steps, keys=tuple(s.primitive for s in steps))
+    return BoundPlan(steps=tuple(steps), keys=tuple(s.primitive for s in steps))

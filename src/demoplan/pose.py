@@ -15,11 +15,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from itertools import chain
 from operator import mul
 from pathlib import Path
-from typing import Sequence
 
-from .jsondoc import load_json
+from .jsondoc import array, load_json, positive, record, vector
 
 # Eigenvalue ratio below which a mask is treated as isotropic.
 ISO_EPS = 0.05
@@ -62,7 +62,7 @@ class Calibration:
 
     scale: float  # meters per pixel
     origin: tuple[float, float] = (0.0, 0.0)
-    image_size: tuple[int, int] = (600, 600)
+    image_size: tuple[float, float] = (600, 600)
 
     def __post_init__(self) -> None:
         if not (0.0 < self.scale < math.inf and all(map(math.isfinite, self.origin))):
@@ -128,54 +128,50 @@ def sense_scene(scene: DetectedScene, cal: Calibration) -> tuple[ObjectPose, ...
     return tuple(to_world(estimate_pose(m), cal) for m in scene.masks)
 
 
-def _points_from_rle_rows(rows: Sequence[Sequence[int]]) -> list[tuple[int, int]]:
-    points: list[tuple[int, int]] = []
-    for row in rows:
-        if len(row) != 3:
-            raise ValueError(f"rle row must be [y, x_start, run_len], got {row!r}")
-        y, x_start, run_len = (int(v) for v in row)
-        if run_len < 1:
-            raise ValueError(f"rle run length must be >= 1, got {run_len}")
-        points.extend((x_start + k, y) for k in range(run_len))
-    return points
+def _int_rows(value: object, width: int, what: str) -> list[tuple[int, ...]]:
+    """A non-empty JSON list of rows of exactly `width` ints, as tuples."""
+    try:
+        rows = [tuple(row) for row in array(value, what, nonempty=True)]
+        typed = set(map(len, rows)) == {width} and set(map(type, chain.from_iterable(rows))) <= {int}
+    except TypeError:
+        typed = False
+    if not typed:
+        raise ValueError(f"{what} must be lists of {width} integers")
+    return rows
 
 
 def load_mask_file(path: str | Path) -> DetectedScene:
     """Parse a mask JSON document into a DetectedScene.
 
-    Accepts, per object, either an explicit point list or row run-length
-    encoding ([y, x_start, run_len] triples); both decode to the same pixel
-    set and therefore the same pose. Duplicate pixels are rejected.
+    Accepts, per object, either an explicit list of [x, y] pixels or row
+    run-length encoding ([y, x_start, run_len] triples), all JSON ints; both
+    decode to the same pixel set and therefore the same pose. Duplicate
+    pixels are rejected.
     """
-    doc = load_json(path, "mask file")
-    objects = doc.get("objects") if isinstance(doc, dict) else None
-    if not isinstance(objects, list):
-        raise ValueError("mask file must be an object with an 'objects' list")
+    doc = record(load_json(path, "mask file"), "mask file")
     masks: list[Mask] = []
-    for i, obj in enumerate(objects):
-        if not isinstance(obj, dict) or "class" not in obj:
-            raise ValueError(f"object {i} must be an object with a 'class'")
-        name = str(obj["class"])
-        try:
-            if "points" in obj:
-                raw = [(int(x), int(y)) for x, y in obj["points"]]
-            elif "rle_rows" in obj:
-                raw = _points_from_rle_rows(obj["rle_rows"])
-            else:
-                raise ValueError(f"object {i} needs 'points' or 'rle_rows'")
-        except (TypeError, OverflowError):
-            raise ValueError(f"object {i} ({name}) has malformed pixel data") from None
-        if len(set(raw)) != len(raw):
-            raise ValueError(f"object {i} ({name}) contains duplicate points")
-        masks.append(Mask(class_name=name, points=tuple(raw)))
+    for i, obj in enumerate(array(doc["objects"], "mask file objects")):
+        name = str(record(obj, f"mask object {i}")["class"])
+        what = f"object {i} ({name})"
+        if "points" in obj:
+            points = _int_rows(obj["points"], 2, f"{what} points")
+        elif "rle_rows" in obj:
+            rows = _int_rows(obj["rle_rows"], 3, f"{what} rle_rows")
+            if min(n for _, _, n in rows) < 1:
+                raise ValueError(f"{what} has an rle run length below 1")
+            points = [(x + k, y) for y, x, n in rows for k in range(n)]
+        else:
+            raise ValueError(f"{what} needs 'points' or 'rle_rows'")
+        if len(set(points)) != len(points):
+            raise ValueError(f"{what} contains duplicate points")
+        masks.append(Mask(class_name=name, points=tuple(points)))
     return DetectedScene(masks=tuple(masks))
 
 
 def load_calibration(path: str | Path) -> Calibration:
-    doc = load_json(path, "calibration")
-    try:
-        origin = (float(doc["origin"][0]), float(doc["origin"][1]))
-        size = tuple(int(v) for v in doc.get("image_size", (600, 600)))
-        return Calibration(scale=float(doc["scale"]), origin=origin, image_size=size)
-    except (TypeError, OverflowError):
-        raise ValueError("calibration must hold a number 'scale' and an [x, y] 'origin'") from None
+    doc = record(load_json(path, "calibration"), "calibration")
+    return Calibration(
+        scale=positive(doc["scale"], "calibration scale"),
+        origin=vector(doc["origin"], 2, "calibration origin"),
+        image_size=vector(doc.get("image_size", [600, 600]), 2, "calibration image_size"),
+    )

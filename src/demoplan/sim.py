@@ -38,7 +38,7 @@ from pathlib import Path
 from typing import Iterable, Mapping
 
 from .actions import ActionPrimitive
-from .jsondoc import load_json
+from .jsondoc import array, load_json, positive, record, vector
 from .planner import BoundAction, BoundPlan, bound_action_to_json
 from .pose import ObjectPose
 
@@ -436,32 +436,20 @@ def check_success(trace: ExecutionTrace, final: WorldState, spec: TaskSpec, cfg:
     raise ValueError(f"unknown task kind {kind!r}")
 
 
-def _finite(value: object, what: str) -> float:
-    number = float(value)
-    if not math.isfinite(number):
-        raise ValueError(f"{what} must be a finite number, not {number}")
-    return number
-
-
-def _positive(value: object, what: str) -> float:
-    number = _finite(value, what)
-    if number <= 0:
-        raise ValueError(f"{what} must be positive, not {number}")
-    return number
-
-
-def _task_from_json(doc: dict) -> TaskSpec:
+def _task_from_json(doc: object, name: str = "task") -> TaskSpec:
+    doc = record(doc, name)
     kind = str(doc["kind"])
     if kind not in _TASK_KINDS:
         raise ValueError(f"unknown task kind {kind!r}")
     if not all(isinstance(doc.get(k), (str, type(None))) for k in ("object_class", "target_class")):
-        raise ValueError("task object_class and target_class must be strings")
-    bounds = {k: _positive(doc[k], f"task {k}") for k in ("containment_radius", "separation") if doc.get(k) is not None}
+        raise ValueError(f"{name} object_class and target_class must be strings")
+    bounds = {k: positive(doc[k], f"{name} {k}") for k in ("containment_radius", "separation") if doc.get(k) is not None}
+    parts = array(doc["parts"], f"{name} parts", nonempty=True) if kind == "composite" else ()
     return TaskSpec(
         kind=kind,
         object_class=doc.get("object_class"),
         target_class=doc.get("target_class"),
-        parts=tuple(_task_from_json(part) for part in doc.get("parts", ())),
+        parts=tuple(_task_from_json(part, f"{name} part") for part in parts),
         **bounds,
     )
 
@@ -470,63 +458,48 @@ def load_scenario(path: str | Path) -> tuple[WorldState, TaskSpec, SimConfig]:
     """Read a scenario file into a world, its task spec, and thresholds.
 
     A missing field, a field of the wrong JSON type, a non-finite number, a
-    non-positive size, radius or threshold, a repeated object id, or an object
-    or gripper start outside the workspace is a ValueError.
+    non-positive size, radius or threshold, a repeated object id, an object,
+    gripper start or delivery zone centred outside the workspace, or a
+    composite task without parts is a ValueError.
     """
-    doc = load_json(path, "scenario")
-    try:
-        return _scenario_from_json(doc)
-    except (TypeError, AttributeError) as exc:
-        raise ValueError(f"scenario has a field of the wrong type ({exc})") from None
+    doc = record(load_json(path, "scenario"), "scenario")
+    width, height = (positive(v, "workspace size") for v in vector(doc["workspace"], 2, "workspace size"))
 
+    def on_table(pose: tuple[float, ...], what: str) -> tuple[float, ...]:
+        if not (0.0 <= pose[0] <= width and 0.0 <= pose[1] <= height):
+            raise ValueError(f"{what} lies outside the workspace")
+        return pose
 
-def _scenario_from_json(doc: dict) -> tuple[WorldState, TaskSpec, SimConfig]:
-    width, height = (_positive(v, "workspace size") for v in doc["workspace"])
     objects: dict[str, SimObject] = {}
-    for obj in doc["objects"]:
+    for obj in array(doc["objects"], "scenario objects"):
+        obj = record(obj, "scenario object")
+        what = f"object {obj.get('id')!r}"
         kind = str(obj.get("kind", ITEM))
         if kind not in KINDS:
-            raise ValueError(f"object {obj.get('id')!r} has unknown kind {kind!r}")
-        x, y, theta = (_finite(v, f"object {obj.get('id')!r} pose") for v in obj["pose"])
-        if not (0.0 <= x <= width and 0.0 <= y <= height):
-            raise ValueError(f"object {obj.get('id')!r} lies outside the workspace")
-        radius = _positive(obj["radius"], f"object {obj.get('id')!r} radius")
+            raise ValueError(f"{what} has unknown kind {kind!r}")
+        x, y, theta = on_table(vector(obj["pose"], 3, f"{what} pose"), what)
+        radius = positive(obj["radius"], f"{what} radius")
         oid = str(obj["id"])
         if oid in objects:
             raise ValueError(f"object id {oid!r} is not unique")
-        objects[oid] = SimObject(
-            class_name=str(obj["class"]),
-            x=x,
-            y=y,
-            theta=theta,
-            radius=radius,
-            kind=kind,
-        )
+        objects[oid] = SimObject(class_name=str(obj["class"]), x=x, y=y, theta=theta, radius=radius, kind=kind)
     zone = None
-    if doc.get("delivery_zone"):
-        z = doc["delivery_zone"]
-        zx, zy = (_finite(v, "delivery zone") for v in (z["pose"][0], z["pose"][1]))
-        zone = DeliveryZone(x=zx, y=zy, radius=_positive(z["radius"], "delivery zone radius"))
-    gx, gy = (_finite(v, "gripper start") for v in doc.get("gripper_start", (0.0, 0.0)))
-    if not (0.0 <= gx <= width and 0.0 <= gy <= height):
-        raise ValueError("gripper start lies outside the workspace")
-    thresholds = doc.get("thresholds", {})
+    if doc.get("delivery_zone") is not None:
+        z = record(doc["delivery_zone"], "delivery zone")
+        zx, zy = on_table(vector(z["pose"], 2, "delivery zone pose"), "delivery zone")
+        zone = DeliveryZone(x=zx, y=zy, radius=positive(z["radius"], "delivery zone radius"))
+    gx, gy = on_table(vector(doc.get("gripper_start", [0.0, 0.0]), 2, "gripper start"), "gripper start")
+    thresholds = record(doc.get("thresholds", {}), "thresholds")
     cfg = SimConfig(
         **{
-            name: _positive(thresholds.get(name, getattr(SimConfig, name)), f"threshold {name}")
+            name: positive(thresholds.get(name, getattr(SimConfig, name)), f"threshold {name}")
             for name in ("reach", "contact", "cap_turn_angle", "open_turn_angle")
         }
     )
     task = _task_from_json(doc["task"])
     if task.kind == "push-away" and task.separation is None:
         task = replace(task, separation=cfg.contact)
-    world = WorldState(
-        width=width,
-        height=height,
-        objects=objects,
-        gripper=Gripper(x=gx, y=gy),
-        zone=zone,
-    )
+    world = WorldState(width=width, height=height, objects=objects, gripper=Gripper(x=gx, y=gy), zone=zone)
     return world, task, cfg
 
 

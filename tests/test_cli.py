@@ -1,8 +1,16 @@
+import contextlib
+import copy
+import functools
 import hashlib
+import io
 import json
 import math
+import operator
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from demoplan import fixtures
 from demoplan.cli import main
@@ -124,6 +132,12 @@ class TestPlan:
             {"objects": 5},
             {"objects": [{"class": "x", "points": [1]}]},
             {"objects": [{"class": "x", "rle_rows": [5]}]},
+            {"objects": [{"class": "x", "points": [[1.5, 2]]}]},
+            {"objects": [{"class": "x", "points": [[True, 2]]}]},
+            {"objects": [{"class": "x", "points": [["1", "2"]]}]},
+            {"objects": [{"class": "x", "points": [[1, 2, 3]]}]},
+            {"objects": [{"class": "x", "rle_rows": [[1, 2, 3.7]]}]},
+            {"objects": [{"class": "x", "points": []}]},
         ],
     )
     def test_mistyped_masks_exit_2(self, capsys, tmp_path, doc):
@@ -139,6 +153,10 @@ class TestPlan:
             {"scale": math.inf, "origin": [0.0, 0.0]},
             {"scale": 0.0015, "origin": [math.nan, 0.0]},
             {"scale": 0.0015, "origin": [0.0, -math.inf]},
+            {"scale": 0.0015, "origin": []},
+            {"scale": 0.0015, "origin": [0, 0, 5]},
+            {"scale": True, "origin": [0.0, 0.0]},
+            {"scale": "0.0015", "origin": [0.0, 0.0]},
         ],
     )
     def test_non_finite_calibration_exits_2(self, capsys, tmp_path, doc):
@@ -205,7 +223,13 @@ class TestRun:
 
     @pytest.mark.parametrize(
         "doc",
-        [[1], [{"primitive": "pick", "primary": 5}], [{"primitive": "pick", "primary": {"x": None}}]],
+        [
+            [1],
+            [{"primitive": "pick", "primary": 5}],
+            [{"primitive": "pick", "primary": {"x": None}}],
+            [{"primitive": "pick", "primary": {"x": True, "y": 0.1, "theta": 0.0, "class": "banana"}}],
+            [{"primitive": "pick", "primary": {"x": "0.1", "y": 0.1, "theta": 0.0, "class": "banana"}}],
+        ],
     )
     def test_mistyped_plan_exits_2(self, capsys, tmp_path, doc):
         plan = tmp_path / "plan.json"
@@ -238,6 +262,14 @@ class TestRun:
             {"objects": [1]},
             {"thresholds": 5},
             [1],
+            {"thresholds": {"reach": True}},
+            {"objects": [{"id": "a", "class": "banana", "pose": [0.1, 0.1, 0.0], "radius": True}]},
+            {"objects": [{"id": "a", "class": "banana", "pose": ["0.1", "0.1", 0.0], "radius": 0.03}]},
+            {"objects": [{"id": "a", "class": "banana", "pose": [0.1], "radius": 0.03}]},
+            {"delivery_zone": {"pose": [], "radius": 0.1}},
+            {"delivery_zone": {"pose": [5, 5], "radius": 0.1}},
+            {"task": {"kind": "composite", "parts": []}},
+            {"task": {"kind": "composite"}},
         ],
     )
     def test_mistyped_scenario_exits_2(self, capsys, tmp_path, pick_place_plan, edit):
@@ -386,3 +418,81 @@ class TestCorpusStats:
         lexicon = tmp_path / "lexicon.json"
         lexicon.write_text(json.dumps(doc))
         assert_parse_error(run_cli("corpus", "stats", "--lexicon", str(lexicon)), capsys)
+
+
+@pytest.mark.parametrize(
+    "argv, target",
+    [
+        (["filter", "--labels", str(fixtures.labels_path("pick_place"))], "missing/keys.json"),
+        (
+            ["plan", "--labels", str(fixtures.labels_path("pick_place")), "--masks", str(fixtures.masks_path("pick_place"))],
+            "missing/plan.json",
+        ),
+        (["bench", "--trials", "1"], "regular-file"),
+    ],
+)
+def test_unwritable_out_exits_2(capsys, tmp_path, argv, target):
+    (tmp_path / "regular-file").write_text("")
+    code = run_cli(*argv, "--out", str(tmp_path / target))
+    assert str(tmp_path / target) in assert_parse_error(code, capsys)
+
+
+FUZZ_VALUES = [[], [1], True, "x", None, math.nan, -1, {}, math.inf]  # a JSON 1e400 reads as inf
+DELETE = object()
+
+
+@pytest.fixture(scope="module")
+def fuzz_inputs(tmp_path_factory):
+    """The pick_place documents, and per document the argv that reads it."""
+    tmp = tmp_path_factory.mktemp("fuzz")
+    plan = tmp / "plan.json"
+    plan_args = {"--labels": fixtures.labels_path("pick_place"), "--masks": fixtures.masks_path("pick_place")}
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert run_cli("plan", *(str(a) for kv in plan_args.items() for a in kv), "--out", str(plan)) == 0
+    plan_args.update({"--calibration": fixtures.calibration_path(), "--lexicon": fixtures.lexicon_path()})
+    run_args = {"--plan": plan, "--scenario": fixtures.scenario_path("pick_place")}
+    readers = {
+        "--scenario": ("run", run_args),
+        "--plan": ("run", run_args),
+        "--calibration": ("plan", plan_args),
+        "--masks": ("plan", plan_args),
+        "--lexicon": ("plan", plan_args),
+    }
+    docs = {flag: json.loads(Path(args[flag]).read_text()) for flag, (_, args) in readers.items()}
+    return tmp, readers, docs
+
+
+def field_paths(node, prefix=()):
+    """Paths to every object field and to the first five entries of every list."""
+    items = node.items() if isinstance(node, dict) else enumerate(node[:5]) if isinstance(node, list) else ()
+    for key, child in items:
+        yield prefix + (key,)
+        yield from field_paths(child, prefix + (key,))
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_damaged_document_exits_with_a_documented_code(fuzz_inputs, data):
+    """Delete or retype one field of one document: the CLI ends in 0..4, and exit 2 prints one line."""
+    tmp, readers, docs = fuzz_inputs
+    flag = data.draw(st.sampled_from(sorted(docs)))
+    doc = copy.deepcopy(docs[flag])
+    path = data.draw(st.sampled_from(list(field_paths(doc))))
+    value = data.draw(st.sampled_from([DELETE, *FUZZ_VALUES]))
+    node = functools.reduce(operator.getitem, path[:-1], doc)
+    if value is DELETE:
+        del node[path[-1]]
+    else:
+        node[path[-1]] = copy.deepcopy(value)
+    damaged = tmp / "damaged.json"
+    damaged.write_text(json.dumps(doc))
+    command, args = readers[flag]
+    argv = [command]
+    for f, a in args.items():
+        argv += [f, str(damaged if f == flag else a)]
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = run_cli(*argv)
+    assert code in range(5)
+    if code == 2:
+        assert err.getvalue().startswith("demoplan: error: ") and err.getvalue().count("\n") == 1, err.getvalue()
