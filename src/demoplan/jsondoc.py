@@ -4,7 +4,7 @@ Every JSON loader reads its file through load_json, so a missing required
 field is reported one way everywhere: a ValueError that names the document
 and the field, such as "scenario is missing field 'workspace'".
 
-Loaders then read each field through one of five readers, each of which
+Loaders then read each field through one of six readers, each of which
 returns the checked value or raises one ValueError that names the field:
 
   number    a finite JSON int or float, as a float; a boolean, a string,
@@ -13,6 +13,8 @@ returns the checked value or raises one ValueError that names the field:
   vector    a list of exactly n numbers, as a tuple of floats.
   array     a list, optionally non-empty.
   record    a JSON object.
+  text      a JSON string; a number, a boolean, null, a list or an object is
+            refused, never coerced with str().
 """
 
 from __future__ import annotations
@@ -76,4 +78,10 @@ def array(value: object, name: str, nonempty: bool = False) -> list:
 def record(value: object, name: str) -> dict:
     if not isinstance(value, dict):
         raise ValueError(f"{name} must be an object, not {_kind(value)}")
+    return value
+
+
+def text(value: object, name: str) -> str:
+    if not isinstance(value, str):
+        raise ValueError(f"{name} must be a string, not {_kind(value)}")
     return value

@@ -18,7 +18,7 @@ from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
 from .actions import ActionPrimitive
-from .jsondoc import array, load_json, record
+from .jsondoc import array, load_json, record, text
 
 _TOKEN_RE = re.compile(r"[a-z0-9]+(?:-[a-z0-9]+)*")
 
@@ -236,8 +236,8 @@ def load_corpus(path: str | Path) -> list[str]:
 
 def load_lexicon(path: str | Path) -> Lexicon:
     doc = record(load_json(path, "lexicon"), "lexicon")
-    verbs = {str(v).lower(): ActionPrimitive.parse(p) for v, p in record(doc["verbs"], "lexicon verbs").items()}
-    objects = frozenset(str(o).lower() for o in array(doc["objects"], "lexicon objects"))
+    verbs = {v.lower(): ActionPrimitive.parse(p) for v, p in record(doc["verbs"], "lexicon verbs").items()}
+    objects = frozenset(text(o, "lexicon object").lower() for o in array(doc["objects"], "lexicon objects"))
     return Lexicon(verbs=verbs, objects=objects)
 
 

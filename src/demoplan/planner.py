@@ -31,7 +31,7 @@ from pathlib import Path
 from typing import Sequence
 
 from .actions import ActionPrimitive, KeySequence
-from .jsondoc import array, load_json, number, record
+from .jsondoc import array, load_json, number, record, text
 from .knowledge import CooccurrenceModel, rank_candidates
 from .pose import ObjectPose
 
@@ -222,7 +222,7 @@ def _pose_from_json(doc: object, name: str) -> ObjectPose | None:
         x=number(doc["x"], f"{name} x"),
         y=number(doc["y"], f"{name} y"),
         theta=number(doc["theta"], f"{name} theta"),
-        class_name=str(doc["class"]),
+        class_name=text(doc["class"], f"{name} class"),
         degenerate=bool(doc.get("degenerate", False)),
     )
 
@@ -255,7 +255,7 @@ def load_plan(path: str | Path) -> BoundPlan:
                 primitive=ActionPrimitive.parse(item["primitive"]),
                 primary=_pose_from_json(item.get("primary"), f"plan step {i} primary"),
                 target=_pose_from_json(item.get("target"), f"plan step {i} target"),
-                confidence=str(item.get("confidence", NORMAL)),
+                confidence=text(item.get("confidence", NORMAL), f"plan step {i} confidence"),
             )
         )
     return BoundPlan(steps=tuple(steps), keys=tuple(s.primitive for s in steps))

@@ -19,7 +19,7 @@ from itertools import chain
 from operator import mul
 from pathlib import Path
 
-from .jsondoc import array, load_json, positive, record, vector
+from .jsondoc import array, load_json, positive, record, text, vector
 
 # Eigenvalue ratio below which a mask is treated as isotropic.
 ISO_EPS = 0.05
@@ -108,9 +108,16 @@ def principal_angle(mask: Mask) -> tuple[float, bool]:
 
 
 def estimate_pose(mask: Mask) -> ObjectPose:
-    """Combine centroid, principal axis, and class label into one pose."""
-    x, y = centroid(mask)
-    theta, degenerate = principal_angle(mask)
+    """Combine centroid, principal axis, and class label into one pose.
+
+    A pixel coordinate, sum or centred coordinate too large for a float is a
+    ValueError naming the mask's class.
+    """
+    try:
+        x, y = centroid(mask)
+        theta, degenerate = principal_angle(mask)
+    except OverflowError:
+        raise ValueError(f"mask of class {mask.class_name!r} has pixel coordinates too large for a float") from None
     return ObjectPose(x=x, y=y, theta=theta, class_name=mask.class_name, degenerate=degenerate)
 
 
@@ -151,7 +158,7 @@ def load_mask_file(path: str | Path) -> DetectedScene:
     doc = record(load_json(path, "mask file"), "mask file")
     masks: list[Mask] = []
     for i, obj in enumerate(array(doc["objects"], "mask file objects")):
-        name = str(record(obj, f"mask object {i}")["class"])
+        name = text(record(obj, f"mask object {i}")["class"], f"mask object {i} class")
         what = f"object {i} ({name})"
         if "points" in obj:
             points = _int_rows(obj["points"], 2, f"{what} points")

@@ -35,10 +35,11 @@ from dataclasses import dataclass, field, replace
 from functools import cached_property
 from json.encoder import encode_basestring_ascii as _quote
 from pathlib import Path
+from types import MappingProxyType
 from typing import Iterable, Mapping
 
 from .actions import ActionPrimitive
-from .jsondoc import array, load_json, positive, record, vector
+from .jsondoc import array, load_json, positive, record, text, vector
 from .planner import BoundAction, BoundPlan, bound_action_to_json
 from .pose import ObjectPose
 
@@ -100,8 +101,21 @@ class DeliveryZone:
     radius: float
 
 
+def _private(items: Mapping) -> MappingProxyType:
+    """A read-only view over a private copy; a proxy copies through its dict's copy()."""
+    return MappingProxyType(items.copy() if isinstance(items, MappingProxyType) else dict(items))
+
+
 @dataclass(frozen=True)
 class WorldState:
+    """One immutable world state.
+
+    objects and inside are read-only views over copies taken at construction,
+    so neither a later edit of the caller's dicts nor a write through the
+    views can change a state. Its digest is therefore computed once per
+    instance and cached; replace() builds a new instance, which hashes anew.
+    """
+
     width: float
     height: float
     objects: Mapping[str, SimObject]
@@ -112,9 +126,32 @@ class WorldState:
     clock: int = 0
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "objects", dict(self.objects))
-        object.__setattr__(self, "inside", dict(self.inside))
+        object.__setattr__(self, "objects", _private(self.objects))
+        object.__setattr__(self, "inside", _private(self.inside))
         object.__setattr__(self, "poured", frozenset(self.poured))
+
+    @cached_property
+    def _digest(self) -> str:
+        """The sha256 hex of this state's digest payload (see digest), hashed once per instance."""
+        g, z = self.gripper, self.zone
+        head = json.dumps(
+            {
+                "clock": self.clock,
+                "gripper": [g.x, g.y, g.holding, g.closed],
+                "height": self.height,
+                "inside": dict(sorted(self.inside.items())),
+            }
+        )
+        tail = json.dumps(
+            {
+                "poured": sorted(self.poured),
+                "width": self.width,
+                "zone": None if z is None else [z.x, z.y, z.radius],
+            }
+        )
+        objects = ", ".join(f"{_quote(oid)}: {o._entry}" for oid, o in sorted(self.objects.items()))
+        payload = f'{head[:-1]}, "objects": {{{objects}}}, {tail[1:]}'
+        return hashlib.sha256(payload.encode("utf-8")).hexdigest()
 
 
 @dataclass(frozen=True)
@@ -156,33 +193,16 @@ class ExecutionTrace:
 
 
 def digest(world: WorldState) -> str:
-    """Deterministic hash of the full world state.
+    """Deterministic hash of the full world state, read from the state's cache.
 
     The payload is json.dumps(doc, sort_keys=True) of the document
     {"clock", "gripper", "height", "inside", "objects", "poured", "width",
     "zone"}, with each object as [class, x, y, theta, radius, kind, turned,
-    opened] under its id. The keys are written in sorted order here, and the
-    objects are spliced in from their cached entries.
+    opened] under its id. The keys are written in sorted order, and the
+    objects are spliced in from their cached entries. A state is hashed the
+    first time its digest is asked for; every later call returns that value.
     """
-    g, z = world.gripper, world.zone
-    head = json.dumps(
-        {
-            "clock": world.clock,
-            "gripper": [g.x, g.y, g.holding, g.closed],
-            "height": world.height,
-            "inside": dict(sorted(world.inside.items())),
-        }
-    )
-    tail = json.dumps(
-        {
-            "poured": sorted(world.poured),
-            "width": world.width,
-            "zone": None if z is None else [z.x, z.y, z.radius],
-        }
-    )
-    objects = ", ".join(f"{_quote(oid)}: {o._entry}" for oid, o in sorted(world.objects.items()))
-    payload = f'{head[:-1]}, "objects": {{{objects}}}, {tail[1:]}'
-    return hashlib.sha256(payload.encode("utf-8")).hexdigest()
+    return world._digest
 
 
 def _dist(ax: float, ay: float, bx: float, by: float) -> float:
@@ -231,7 +251,7 @@ def _contents(world: WorldState, container_id: str) -> set[str]:
 
 
 def _translate_group(world: WorldState, ids: Iterable[str], dx: float, dy: float) -> dict[str, SimObject]:
-    objects = dict(world.objects)
+    objects = world.objects.copy()
     for oid in ids:
         obj = objects[oid]
         objects[oid] = replace(obj, x=obj.x + dx, y=obj.y + dy)
@@ -242,9 +262,9 @@ def _in_bounds(world: WorldState, objects: Mapping[str, SimObject]) -> bool:
     return all(0.0 <= o.x <= world.width and 0.0 <= o.y <= world.height for o in objects.values())
 
 
-def _carry(world: WorldState, x: float, y: float, verb: str) -> dict[str, SimObject]:
+def _carry(world: WorldState, x: float, y: float, verb: str) -> Mapping[str, SimObject]:
     """Objects after the held object, with its contents, moves to (x, y)."""
-    objects = dict(world.objects)
+    objects = world.objects
     held = world.gripper.holding
     if held is not None:
         start = world.objects[held]
@@ -283,7 +303,7 @@ def apply_primitive(
     gripper = world.gripper
     try:
         if p == ActionPrimitive.IDLE:
-            new = world
+            changes = {}
 
         elif p == ActionPrimitive.MOVE:
             dest = act.anchor()
@@ -297,7 +317,7 @@ def apply_primitive(
             handover = world.zone is not None and _dist(dx, dy, world.zone.x, world.zone.y) <= world.zone.radius
             if handover and gripper.holding is not None:
                 gripper = replace(gripper, holding=None, closed=False)
-            new = replace(world, gripper=replace(gripper, x=dx, y=dy), objects=objects)
+            changes = {"gripper": replace(gripper, x=dx, y=dy), "objects": objects}
 
         elif p == ActionPrimitive.PICK:
             if act.primary is None:
@@ -306,8 +326,9 @@ def apply_primitive(
                 raise _Refused(f"pick while holding {gripper.holding}")
             oid = _find(world, act.primary)
             obj = _reach(world, oid, cfg)
-            gripper = replace(gripper, x=obj.x, y=obj.y, holding=oid, closed=True)
-            new = replace(world, gripper=gripper, inside={k: v for k, v in world.inside.items() if k != oid})
+            inside = world.inside.copy()
+            inside.pop(oid, None)
+            changes = {"gripper": replace(gripper, x=obj.x, y=obj.y, holding=oid, closed=True), "inside": inside}
 
         elif p == ActionPrimitive.PLACE:
             held, cid = _container(world, act, "place", "place")
@@ -315,8 +336,10 @@ def apply_primitive(
                 raise _Refused(f"cannot place {held} into {cid}, which is inside it")
             container = world.objects[cid]
             objects = _carry(world, container.x, container.y, "place")
+            inside = world.inside.copy()
+            inside[held] = cid
             gripper = replace(gripper, x=container.x, y=container.y, holding=None, closed=False)
-            new = replace(world, objects=objects, gripper=gripper, inside={**world.inside, held: cid})
+            changes = {"objects": objects, "gripper": gripper, "inside": inside}
 
         elif p == ActionPrimitive.PUSH:
             if act.primary is None or act.target is None:
@@ -329,7 +352,7 @@ def apply_primitive(
             po, to = world.objects[pid], world.objects[tid]
             d = _dist(po.x, po.y, to.x, to.y)
             if d <= cfg.contact:
-                new = replace(world, gripper=replace(gripper, x=po.x, y=po.y))
+                changes = {"gripper": replace(gripper, x=po.x, y=po.y)}
             elif d == 0.0:
                 raise _Refused("push objects are coincident")
             else:
@@ -339,14 +362,14 @@ def apply_primitive(
                 objects = _translate_group(world, group, nx - po.x, ny - po.y)
                 if not _in_bounds(world, objects):
                     raise _Refused("push would leave the workspace")
-                new = replace(world, objects=objects, gripper=replace(gripper, x=nx, y=ny))
+                changes = {"objects": objects, "gripper": replace(gripper, x=nx, y=ny)}
 
         elif p == ActionPrimitive.TILT:
             held, tid = _container(world, act, "tilt", "pour")
             _reach(world, tid, cfg)
             # pouring done: set the object down where it is and open the gripper
             gripper = replace(gripper, holding=None, closed=False)
-            new = replace(world, poured=world.poured | {(held, tid)}, gripper=gripper)
+            changes = {"poured": world.poured | {(held, tid)}, "gripper": gripper}
 
         elif p == ActionPrimitive.ROTATE:
             if act.primary is None:
@@ -354,20 +377,20 @@ def apply_primitive(
             oid = _find(world, act.primary)
             obj = world.objects[oid] if gripper.holding == oid else _reach(world, oid, cfg)
             turned = obj.turned + cfg.cap_turn_angle
-            objects = dict(world.objects)
+            objects = world.objects.copy()
             objects[oid] = replace(
                 obj,
                 theta=(obj.theta + cfg.cap_turn_angle) % (2.0 * math.pi),
                 turned=turned,
                 opened=obj.opened or turned >= cfg.open_turn_angle - _SEP_TOL,
             )
-            new = replace(world, objects=objects)
+            changes = {"objects": objects}
 
         else:  # pragma: no cover - the enum is closed
             raise ValueError(f"unknown primitive {p!r}")
     except _Refused as refused:
         return world, str(refused)
-    return replace(new, clock=new.clock + 1), None
+    return replace(world, clock=world.clock + 1, **changes), None
 
 
 def run_plan(
@@ -387,6 +410,41 @@ def run_plan(
             steps.append(TraceStep(idx, act, pre, post, "failed", reason))
             break
     return ExecutionTrace(steps=tuple(steps)), current
+
+
+def check_invariants(world: WorldState, start: WorldState) -> list[str]:
+    """The simulator invariants that world breaks, given the state it was run from.
+
+    The gripper holds at most one object, which exists and sits exactly at
+    the gripper; containment relates existing objects and has no cycle; every
+    object lies inside the workspace; the object ids are those of start. An
+    empty list means every invariant holds. run_plan does not call this, so
+    checking costs nothing unless a caller asks for it.
+    """
+    out: list[str] = []
+    objects, inside = world.objects, world.inside
+    held = world.gripper.holding
+    if held is not None:
+        obj = objects.get(held)
+        if obj is None:
+            out.append(f"held object {held} does not exist")
+        elif (obj.x, obj.y) != (world.gripper.x, world.gripper.y):
+            out.append(f"held object {held} is not at the gripper")
+    for child, parent in sorted(inside.items()):
+        if child not in objects or parent not in objects:
+            out.append(f"{child} inside {parent} names a missing object")
+        node, seen = parent, {child}
+        while node in inside and node not in seen:
+            seen.add(node)
+            node = inside[node]
+        if node == child:
+            out.append(f"containment cycle through {child}")
+    for oid, o in sorted(objects.items()):
+        if not (0.0 <= o.x <= world.width and 0.0 <= o.y <= world.height):
+            out.append(f"{oid} lies outside the workspace")
+    if objects.keys() != start.objects.keys():
+        out.append(f"object ids changed: {len(start.objects)} -> {len(objects)}")
+    return out
 
 
 def _classes(world: WorldState, class_name: str) -> list[SimObject]:
@@ -438,7 +496,7 @@ def check_success(trace: ExecutionTrace, final: WorldState, spec: TaskSpec, cfg:
 
 def _task_from_json(doc: object, name: str = "task") -> TaskSpec:
     doc = record(doc, name)
-    kind = str(doc["kind"])
+    kind = text(doc["kind"], f"{name} kind")
     if kind not in _TASK_KINDS:
         raise ValueError(f"unknown task kind {kind!r}")
     if not all(isinstance(doc.get(k), (str, type(None))) for k in ("object_class", "target_class")):
@@ -474,15 +532,16 @@ def load_scenario(path: str | Path) -> tuple[WorldState, TaskSpec, SimConfig]:
     for obj in array(doc["objects"], "scenario objects"):
         obj = record(obj, "scenario object")
         what = f"object {obj.get('id')!r}"
-        kind = str(obj.get("kind", ITEM))
+        kind = text(obj.get("kind", ITEM), f"{what} kind")
         if kind not in KINDS:
             raise ValueError(f"{what} has unknown kind {kind!r}")
         x, y, theta = on_table(vector(obj["pose"], 3, f"{what} pose"), what)
         radius = positive(obj["radius"], f"{what} radius")
-        oid = str(obj["id"])
+        oid = text(obj["id"], f"{what} id")
         if oid in objects:
             raise ValueError(f"object id {oid!r} is not unique")
-        objects[oid] = SimObject(class_name=str(obj["class"]), x=x, y=y, theta=theta, radius=radius, kind=kind)
+        name = text(obj["class"], f"{what} class")
+        objects[oid] = SimObject(class_name=name, x=x, y=y, theta=theta, radius=radius, kind=kind)
     zone = None
     if doc.get("delivery_zone") is not None:
         z = record(doc["delivery_zone"], "delivery zone")

@@ -138,6 +138,9 @@ class TestPlan:
             {"objects": [{"class": "x", "points": [[1, 2, 3]]}]},
             {"objects": [{"class": "x", "rle_rows": [[1, 2, 3.7]]}]},
             {"objects": [{"class": "x", "points": []}]},
+            {"objects": [{"class": 5, "points": [[1, 2]]}]},
+            {"objects": [{"class": "x", "points": [[10**400, 0], [0, 0]]}]},
+            {"objects": [{"class": "x", "points": [[10**400, 0], [-10**400, 0]]}]},
         ],
     )
     def test_mistyped_masks_exit_2(self, capsys, tmp_path, doc):
@@ -229,6 +232,8 @@ class TestRun:
             [{"primitive": "pick", "primary": {"x": None}}],
             [{"primitive": "pick", "primary": {"x": True, "y": 0.1, "theta": 0.0, "class": "banana"}}],
             [{"primitive": "pick", "primary": {"x": "0.1", "y": 0.1, "theta": 0.0, "class": "banana"}}],
+            [{"primitive": "pick", "primary": {"x": 0.1, "y": 0.1, "theta": 0.0, "class": 5}}],
+            [{"primitive": "idle", "confidence": 5}],
         ],
     )
     def test_mistyped_plan_exits_2(self, capsys, tmp_path, doc):
@@ -270,6 +275,10 @@ class TestRun:
             {"delivery_zone": {"pose": [5, 5], "radius": 0.1}},
             {"task": {"kind": "composite", "parts": []}},
             {"task": {"kind": "composite"}},
+            {"task": {"kind": 5}},
+            {"objects": [{"id": "a", "class": 5, "pose": [0.1, 0.1, 0.0], "radius": 0.03}]},
+            {"objects": [{"id": 5, "class": "banana", "pose": [0.1, 0.1, 0.0], "radius": 0.03}]},
+            {"objects": [{"id": "a", "class": "banana", "kind": 5, "pose": [0.1, 0.1, 0.0], "radius": 0.03}]},
         ],
     )
     def test_mistyped_scenario_exits_2(self, capsys, tmp_path, pick_place_plan, edit):
@@ -413,7 +422,15 @@ class TestCorpusStats:
         missing = tmp_path / "none.txt"
         assert run_cli("corpus", "stats", "--corpus", str(missing)) == 2
 
-    @pytest.mark.parametrize("doc", [{"verbs": 5, "objects": [1]}, [1], {"verbs": {"pick": "pick"}, "objects": 5}])
+    @pytest.mark.parametrize(
+        "doc",
+        [
+            {"verbs": 5, "objects": [1]},
+            [1],
+            {"verbs": {"pick": "pick"}, "objects": 5},
+            {"verbs": {"pick": "pick"}, "objects": ["apple", 5]},
+        ],
+    )
     def test_mistyped_lexicon_exits_2(self, tmp_path, capsys, doc):
         lexicon = tmp_path / "lexicon.json"
         lexicon.write_text(json.dumps(doc))

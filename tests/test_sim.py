@@ -7,7 +7,7 @@ from dataclasses import replace
 import pytest
 from worldgen import random_action, random_world
 
-from demoplan import fixtures
+from demoplan import fixtures, sim
 from demoplan.actions import ActionPrimitive, keys_from_names
 from demoplan.knowledge import build_model, load_corpus, load_lexicon
 from demoplan.planner import BoundAction, BoundPlan, bind_plan
@@ -22,6 +22,7 @@ from demoplan.sim import (
     TaskSpec,
     WorldState,
     apply_primitive,
+    check_invariants,
     check_success,
     digest,
     load_scenario,
@@ -324,6 +325,17 @@ class TestRunPlan:
             _, final = run_plan(world, plan, cfg)
             assert set(final.objects) == set(world.objects)
 
+    def test_each_state_is_hashed_once(self, monkeypatch):
+        plan, world, _, cfg = self.load_task("composite_2")
+        calls = []
+        sha256 = hashlib.sha256
+        monkeypatch.setattr(sim.hashlib, "sha256", lambda data: calls.append(data) or sha256(data))
+        trace, _ = run_plan(world, plan, cfg)
+        assert trace.all_ok and len(trace.steps) > 1
+        assert len(calls) == len(trace.steps) + 1
+        for a, b in zip(trace.steps, trace.steps[1:]):
+            assert a.post_digest == b.pre_digest
+
 
 class TestCheckSuccess:
     def test_banana_at_box_center(self):
@@ -400,13 +412,58 @@ class TestScenarioLoader:
             load_scenario(path)
 
 
+class TestReadOnlyState:
+    def test_items_cannot_be_assigned_or_deleted(self):
+        w = replace(world_with({"apple-0": obj("apple", 0.5, 0.5)}), inside={"apple-0": "box-1"})
+        for mapping in (w.objects, w.inside):
+            with pytest.raises(TypeError):
+                mapping["apple-0"] = mapping["apple-0"]
+            with pytest.raises(TypeError):
+                del mapping["apple-0"]
+
+    def test_the_callers_dicts_stay_the_callers(self):
+        objects = {"apple-0": obj("apple", 0.1, 0.2)}
+        inside = {"apple-0": "box-0"}
+        w = replace(world_with(objects), inside=inside)
+        before = digest(w)
+        objects["apple-0"] = obj("apple", 0.3, 0.4)
+        objects["grape-1"] = obj("grape", 0.5, 0.5)
+        inside.clear()
+        assert dict(w.objects) == {"apple-0": obj("apple", 0.1, 0.2)}
+        assert dict(w.inside) == {"apple-0": "box-0"}
+        assert digest(w) == before == plain_digest(w)
+
+
+class TestCheckInvariants:
+    def test_each_broken_invariant_is_named(self):
+        start = world_with(
+            {"box-0": obj("box", 0.5, 0.5, kind=CONTAINER), "bowl-1": obj("bowl", 0.2, 0.2, kind=CONTAINER)}
+        )
+        broken = replace(
+            start,
+            objects={**start.objects, "box-0": obj("box", 1.5, 0.5, kind=CONTAINER), "ghost-2": obj("ghost", 0.1, 0.1)},
+            gripper=Gripper(x=0.3, y=0.3, holding="bowl-1", closed=True),
+            inside={"box-0": "bowl-1", "bowl-1": "box-0", "apple-3": "box-0"},
+        )
+        assert check_invariants(broken, start) == [
+            "held object bowl-1 is not at the gripper",
+            "apple-3 inside box-0 names a missing object",
+            "containment cycle through bowl-1",
+            "containment cycle through box-0",
+            "box-0 lies outside the workspace",
+            "object ids changed: 2 -> 3",
+        ]
+        missing = replace(start, gripper=Gripper(x=0.3, y=0.3, holding="cup-9", closed=True))
+        assert check_invariants(missing, start) == ["held object cup-9 does not exist"]
+
+
 class TestRandomizedInvariants:
     def test_atomicity_and_holding_exclusivity(self):
         rng = random.Random(2024)
         world = random_world(rng)
         for step in range(2000):
             if step % 50 == 0:
-                world = random_world(rng)
+                world = start = random_world(rng)
             act = random_action(rng, world)
             pre = digest(world)
             nxt, reason = apply_primitive(world, act, CFG)
@@ -421,6 +478,7 @@ class TestRandomizedInvariants:
                 assert (o.x, o.y) == (world.gripper.x, world.gripper.y)
             # conservation and bounds
             assert all(0 <= o.x <= 0.9 and 0 <= o.y <= 0.9 for o in world.objects.values())
+            assert check_invariants(world, start) == []
 
 
 class TestReasonSignature:
@@ -473,6 +531,9 @@ class TestDigestEncoding:
                 world = random_world(rng)
             world, _ = apply_primitive(world, random_action(rng, world), CFG)
             assert digest(world) == plain_digest(world)
+            assert digest(world) == plain_digest(world)  # the second call reads the cached value
+            successor = replace(world, clock=world.clock + 1)
+            assert digest(successor) == plain_digest(successor)
 
     def test_negative_zero_is_not_zero(self):
         a = world_with({"apple-0": obj("apple", 0.0, 0.5)})
