@@ -18,7 +18,7 @@ import random
 from collections import deque
 from dataclasses import dataclass
 from enum import Enum
-from itertools import islice
+from itertools import chain, count, islice
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -47,6 +47,9 @@ class ActionPrimitive(str, Enum):
 
 
 PRIMITIVES: tuple[ActionPrimitive, ...] = tuple(ActionPrimitive)
+_BY_TOKEN = {p.value: p for p in PRIMITIVES}
+_FIELDS = {"frame", "label"}
+_CHUNK_LINES = 256  # label lines per json.loads; keeps few records alive at once
 
 
 @dataclass(frozen=True)
@@ -201,29 +204,65 @@ def load_label_stream(path: str | Path) -> PrimitiveStream:
     """
     frames: list[ActionPrimitive] = []
     with open(path, "r", encoding="utf-8") as fh:
-        expected = 0
-        for lineno, raw in enumerate(fh, start=1):
-            raw = raw.strip()
-            if not raw:
-                continue
-            try:
-                record = json.loads(raw)
-            except json.JSONDecodeError as exc:
-                raise LabelStreamError(lineno, f"invalid JSON ({exc.msg})") from None
-            if not isinstance(record, dict) or "frame" not in record or "label" not in record:
-                raise LabelStreamError(lineno, "record must carry 'frame' and 'label'")
-            if type(record["frame"]) is not int or record["frame"] != expected:
-                raise LabelStreamError(
-                    lineno, f"frame {record['frame']!r} breaks contiguous order (expected {expected})"
-                )
-            try:
-                frames.append(ActionPrimitive.parse(record["label"]))
-            except ValueError as exc:
-                raise LabelStreamError(lineno, str(exc)) from None
-            expected += 1
+        for first in count(1, _CHUNK_LINES):
+            block = list(islice(fh, _CHUNK_LINES))
+            if not block:
+                break
+            if not _parse_block(block, frames):
+                _parse_lines(chain(block, fh), first, frames)
+                break
     if not frames:
         raise LabelStreamError(1, "label stream is empty")
     return PrimitiveStream(tuple(frames))
+
+
+def _parse_block(block: list[str], frames: list[ActionPrimitive]) -> bool:
+    """Append a block's labels read by one json.loads, or return False wherever _parse_lines could differ.
+
+    Only flat {"frame", "label"} objects are accepted, and a JSON string
+    cannot span lines, so frame numbers running on one per non-blank line
+    mean each line held exactly one record, the one the per-line parse reads.
+    """
+    lines = [s for s in map(str.strip, block) if s]
+    if not all(s[0] == "{" and s[-1] == "}" for s in lines):
+        return False
+    try:
+        records = json.loads("[" + ",".join(lines) + "]")
+    except (ValueError, RecursionError):
+        return False
+    if any(type(r) is not dict or r.keys() != _FIELDS for r in records):
+        return False
+    numbers = [r["frame"] for r in records]
+    if any(type(f) is not int for f in numbers) or numbers != list(range(len(frames), len(frames) + len(lines))):
+        return False
+    try:
+        labels = list(map(_BY_TOKEN.__getitem__, [r["label"] for r in records]))
+    except (KeyError, TypeError):
+        return False
+    frames += labels
+    return True
+
+
+def _parse_lines(lines: Iterable[str], first: int, frames: list[ActionPrimitive]) -> None:
+    """Append each line's label, raising LabelStreamError at the first bad record."""
+    for lineno, raw in enumerate(lines, start=first):
+        raw = raw.strip()
+        if not raw:
+            continue
+        try:
+            record = json.loads(raw)
+        except json.JSONDecodeError as exc:
+            raise LabelStreamError(lineno, f"invalid JSON ({exc.msg})") from None
+        if not isinstance(record, dict) or "frame" not in record or "label" not in record:
+            raise LabelStreamError(lineno, "record must carry 'frame' and 'label'")
+        if type(record["frame"]) is not int or record["frame"] != len(frames):
+            raise LabelStreamError(
+                lineno, f"frame {record['frame']!r} breaks contiguous order (expected {len(frames)})"
+            )
+        try:
+            frames.append(ActionPrimitive.parse(record["label"]))
+        except ValueError as exc:
+            raise LabelStreamError(lineno, str(exc)) from None
 
 
 def dump_label_stream(stream: PrimitiveStream, path: str | Path) -> None:

@@ -4,7 +4,7 @@ Every JSON loader reads its file through load_json, so a missing required
 field is reported one way everywhere: a ValueError that names the document
 and the field, such as "scenario is missing field 'workspace'".
 
-Loaders then read each field through one of six readers, each of which
+Loaders then read each field through one of seven readers, each of which
 returns the checked value or raises one ValueError that names the field:
 
   number    a finite JSON int or float, as a float; a boolean, a string,
@@ -15,6 +15,8 @@ returns the checked value or raises one ValueError that names the field:
   record    a JSON object.
   text      a JSON string; a number, a boolean, null, a list or an object is
             refused, never coerced with str().
+  flag      a JSON boolean; a string such as "false", a number, null, a list
+            or an object is refused, never coerced with bool().
 """
 
 from __future__ import annotations
@@ -84,4 +86,10 @@ def record(value: object, name: str) -> dict:
 def text(value: object, name: str) -> str:
     if not isinstance(value, str):
         raise ValueError(f"{name} must be a string, not {_kind(value)}")
+    return value
+
+
+def flag(value: object, name: str) -> bool:
+    if not isinstance(value, bool):
+        raise ValueError(f"{name} must be a boolean, not {_kind(value)}")
     return value

@@ -31,7 +31,7 @@ from pathlib import Path
 from typing import Sequence
 
 from .actions import ActionPrimitive, KeySequence
-from .jsondoc import array, load_json, number, record, text
+from .jsondoc import array, flag, load_json, number, record, text
 from .knowledge import CooccurrenceModel, rank_candidates
 from .pose import ObjectPose
 
@@ -223,7 +223,7 @@ def _pose_from_json(doc: object, name: str) -> ObjectPose | None:
         y=number(doc["y"], f"{name} y"),
         theta=number(doc["theta"], f"{name} theta"),
         class_name=text(doc["class"], f"{name} class"),
-        degenerate=bool(doc.get("degenerate", False)),
+        degenerate=flag(doc.get("degenerate", False), f"{name} degenerate"),
     )
 
 

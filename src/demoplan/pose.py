@@ -7,6 +7,11 @@ and the class label. Theta is an axis, not a direction, so it lives in
 [0, pi). Masks whose pixel covariance is close to isotropic (squares, round
 fruit) have no meaningful axis and are flagged degenerate with theta = 0.
 
+A mask is reduced at load to its exact integer moments n, Sx, Sy, Sxx, Syy
+and Sxy (Hu 1962): one pass of sums over a point list, a closed form per
+run-length row, never expanding a run into pixels. A mask whose moments do
+not fit a float is a ValueError.
+
 A fixed overhead camera reduces calibration to a scale and an offset, which
 is what to_world applies.
 """
@@ -14,10 +19,11 @@ is what to_world applies.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import InitVar, dataclass, replace
 from itertools import chain
 from operator import mul
 from pathlib import Path
+from typing import Iterable, Sequence
 
 from .jsondoc import array, load_json, positive, record, text, vector
 
@@ -27,15 +33,47 @@ ISO_EPS = 0.05
 
 @dataclass(frozen=True)
 class Mask:
-    """Pixel set covering one detected object instance."""
+    """One detected object instance, held as the raw moments of its pixel set.
+
+    ``moments`` is (n, Sx, Sy, Sxx, Syy, Sxy) over the coordinates times
+    ``scale``, a power of two that makes every coordinate an int, so each sum
+    is exact. ``Mask(class_name, points)`` computes them from a point cloud.
+    """
 
     class_name: str
-    points: tuple[tuple[float, float], ...]
+    points: InitVar[Iterable[tuple[float, float]] | None] = None
+    moments: tuple[int, int, int, int, int, int] = (0, 0, 0, 0, 0, 0)
+    scale: int = 1
 
-    def __post_init__(self) -> None:
-        if len(self.points) < 1:
+    def __post_init__(self, points) -> None:
+        if points is not None:
+            values, scale = [v for p in points for v in p], 1  # x0, y0, x1, y1, ...
+            if any(type(v) is not int for v in values):  # onto one power-of-two grid
+                ratios = [float(v).as_integer_ratio() for v in values]
+                scale = max(d for _, d in ratios)
+                values = [p * (scale // d) for p, d in ratios]
+            object.__setattr__(self, "moments", _point_moments(values[0::2], values[1::2]))
+            object.__setattr__(self, "scale", scale)
+        if self.moments[0] < 1:
             raise ValueError("mask must contain at least one point")
-        object.__setattr__(self, "points", tuple(self.points))
+
+
+def _point_moments(xs: Sequence[int], ys: Sequence[int]) -> tuple[int, int, int, int, int, int]:
+    return len(xs), sum(xs), sum(ys), sum(map(mul, xs, xs)), sum(map(mul, ys, ys)), sum(map(mul, xs, ys))
+
+
+def _run_moments(runs: list[tuple[int, int, int]]) -> tuple[int, int, int, int, int, int]:
+    """Moments of row runs (y, x_start, k), each in closed form over x, x+1, ..., x+k-1."""
+    n = sx = sy = sxx = syy = sxy = 0
+    for y, x, k in runs:
+        rx = k * x + k * (k - 1) // 2
+        n += k
+        sx += rx
+        sy += k * y
+        sxx += k * x * x + x * k * (k - 1) + (k - 1) * k * (2 * k - 1) // 6
+        syy += k * y * y
+        sxy += y * rx
+    return n, sx, sy, sxx, syy, sxy
 
 
 @dataclass(frozen=True)
@@ -73,34 +111,31 @@ IDENTITY_CALIBRATION = Calibration(scale=1.0, origin=(0.0, 0.0))
 
 
 def centroid(mask: Mask) -> tuple[float, float]:
-    """Arithmetic mean of the mask's pixel coordinates; exact sums for integer pixels."""
-    xs, ys = zip(*mask.points)
-    n = len(xs)
-    return sum(xs) / n, sum(ys) / n
+    """Arithmetic mean of the mask's pixel coordinates, each one correctly rounded sum / n."""
+    n, sx, sy = mask.moments[:3]
+    return sx / (n * mask.scale), sy / (n * mask.scale)
 
 
 def principal_angle(mask: Mask) -> tuple[float, bool]:
     """Orientation of the direction of largest variance, in [0, pi).
 
-    theta = 0.5 * atan2(2*c_xy, c_xx - c_yy) over the population covariance,
-    centred before summing so that far-off clouds do not cancel. Returns
-    (0.0, True) for fewer than two points or an eigenvalue ratio below 1 + ISO_EPS.
+    With A = n*Sxx - Sx**2, B = n*Syy - Sy**2 and C = n*Sxy - Sx*Sy, exact
+    ints, the population covariance is (A, B, C) / (n*scale)**2 and
+    theta = 0.5 * atan2(2C, A - B). Returns (0.0, True) for fewer than two
+    points or an eigenvalue ratio below 1 + ISO_EPS.
     """
-    n = len(mask.points)
+    n, sx, sy, sxx, syy, sxy = mask.moments
     if n < 2:
         return 0.0, True
-    mx, my = centroid(mask)
-    dx = [x - mx for x, _ in mask.points]
-    dy = [y - my for _, y in mask.points]
-    cxx = math.fsum(map(mul, dx, dx)) / n
-    cyy = math.fsum(map(mul, dy, dy)) / n
-    cxy = math.fsum(map(mul, dx, dy)) / n
+    nn = (n * mask.scale) ** 2
+    a, b, c = n * sxx - sx * sx, n * syy - sy * sy, n * sxy - sx * sy
+    cxx, cyy, cxy = a / nn, b / nn, c / nn
     half_trace = 0.5 * (cxx + cyy)
     disc = math.sqrt(max(0.25 * (cxx - cyy) ** 2 + cxy * cxy, 0.0))
     lam_max, lam_min = half_trace + disc, half_trace - disc
     if lam_max <= 0.0 or lam_max < (1.0 + ISO_EPS) * lam_min:
         return 0.0, True
-    theta = 0.5 * math.atan2(2.0 * cxy, cxx - cyy)
+    theta = 0.5 * math.atan2(2 * c / nn, (a - b) / nn)
     theta %= math.pi
     if theta >= math.pi:  # guard against rounding at the seam
         theta -= math.pi
@@ -110,14 +145,13 @@ def principal_angle(mask: Mask) -> tuple[float, bool]:
 def estimate_pose(mask: Mask) -> ObjectPose:
     """Combine centroid, principal axis, and class label into one pose.
 
-    A pixel coordinate, sum or centred coordinate too large for a float is a
-    ValueError naming the mask's class.
+    Moments too large for a float are a ValueError naming the mask's class.
     """
     try:
         x, y = centroid(mask)
         theta, degenerate = principal_angle(mask)
     except OverflowError:
-        raise ValueError(f"mask of class {mask.class_name!r} has pixel coordinates too large for a float") from None
+        raise ValueError(f"mask of class {mask.class_name!r} has moments too large for a float") from None
     return ObjectPose(x=x, y=y, theta=theta, class_name=mask.class_name, degenerate=degenerate)
 
 
@@ -152,8 +186,8 @@ def load_mask_file(path: str | Path) -> DetectedScene:
 
     Accepts, per object, either an explicit list of [x, y] pixels or row
     run-length encoding ([y, x_start, run_len] triples), all JSON ints; both
-    decode to the same pixel set and therefore the same pose. Duplicate
-    pixels are rejected.
+    reduce to the same moments and therefore the same pose. Duplicate
+    pixels, and runs that overlap within a row, are rejected.
     """
     doc = record(load_json(path, "mask file"), "mask file")
     masks: list[Mask] = []
@@ -162,16 +196,19 @@ def load_mask_file(path: str | Path) -> DetectedScene:
         what = f"object {i} ({name})"
         if "points" in obj:
             points = _int_rows(obj["points"], 2, f"{what} points")
+            unique = len(set(points)) == len(points)
+            moments = _point_moments(*zip(*points))
         elif "rle_rows" in obj:
-            rows = _int_rows(obj["rle_rows"], 3, f"{what} rle_rows")
-            if min(n for _, _, n in rows) < 1:
+            runs = sorted(_int_rows(obj["rle_rows"], 3, f"{what} rle_rows"))
+            if min(k for _, _, k in runs) < 1:
                 raise ValueError(f"{what} has an rle run length below 1")
-            points = [(x + k, y) for y, x, n in rows for k in range(n)]
+            unique = all(y0 != y1 or x0 + k0 <= x1 for (y0, x0, k0), (y1, x1, _) in zip(runs, runs[1:]))
+            moments = _run_moments(runs)
         else:
             raise ValueError(f"{what} needs 'points' or 'rle_rows'")
-        if len(set(points)) != len(points):
+        if not unique:
             raise ValueError(f"{what} contains duplicate points")
-        masks.append(Mask(class_name=name, points=tuple(points)))
+        masks.append(Mask(name, moments=moments))
     return DetectedScene(masks=tuple(masks))
 
 

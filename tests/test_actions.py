@@ -4,6 +4,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from demoplan import actions
 from demoplan.actions import (
     ActionPrimitive,
     KeySequence,
@@ -287,3 +288,135 @@ class TestLabelStreamIO:
         path.write_text("")
         with pytest.raises(LabelStreamError):
             load_label_stream(path)
+
+
+def load_label_stream_per_line(path):
+    """The per-line loader the bulk parse must agree with, kept here as the oracle."""
+    frames = []
+    with open(path, "r", encoding="utf-8") as fh:
+        expected = 0
+        for lineno, raw in enumerate(fh, start=1):
+            raw = raw.strip()
+            if not raw:
+                continue
+            try:
+                record = json.loads(raw)
+            except json.JSONDecodeError as exc:
+                raise LabelStreamError(lineno, f"invalid JSON ({exc.msg})") from None
+            if not isinstance(record, dict) or "frame" not in record or "label" not in record:
+                raise LabelStreamError(lineno, "record must carry 'frame' and 'label'")
+            if type(record["frame"]) is not int or record["frame"] != expected:
+                raise LabelStreamError(
+                    lineno, f"frame {record['frame']!r} breaks contiguous order (expected {expected})"
+                )
+            try:
+                frames.append(ActionPrimitive.parse(record["label"]))
+            except ValueError as exc:
+                raise LabelStreamError(lineno, str(exc)) from None
+            expected += 1
+    if not frames:
+        raise LabelStreamError(1, "label stream is empty")
+    return PrimitiveStream(tuple(frames))
+
+
+def outcome(load, path):
+    try:
+        return load(path)
+    except ValueError as exc:
+        return type(exc), str(exc), getattr(exc, "line_number", None)
+
+
+def damaged_stream(rng: random.Random) -> str:
+    """A short label stream with up to three random faults of the kinds a file can carry."""
+    records = [{"frame": i, "label": rng.choice(PRIMITIVES).value} for i in range(rng.randint(0, 8))]
+    for _ in range(rng.randint(0, 3)):
+        if not records:
+            break
+        r = rng.choice(records)
+        kind = rng.randrange(7)
+        if kind == 0:
+            r["frame"] = rng.choice([rng.randint(-1, 9), True, 0.0, "0", None])
+        elif kind == 1:
+            r["label"] = rng.choice(["grab", "IDLE", 5, ["idle"], {"a": "idle"}, None, ""])
+        elif kind == 2:
+            r.pop(rng.choice(["frame", "label"]), None)
+        elif kind == 3:
+            r["extra"] = rng.choice([1, "idle", {}])
+        elif kind == 4:
+            r["label"] = {"label": r.get("label")}
+        elif kind == 5:
+            records.remove(r)
+        else:
+            records.insert(records.index(r), dict(r))
+    lines = [json.dumps(r, separators=rng.choice([(",", ":"), (", ", ": ")])) for r in records]
+    for _ in range(rng.randint(0, 3)):
+        i = rng.randrange(len(lines) + 1)
+        kind = rng.randrange(8)
+        if kind == 0:
+            lines.insert(i, rng.choice(["", "   ", "\t"]))
+        elif kind == 1:
+            lines.insert(i, rng.choice(["not json", "[]", "{}", "5", "null", '"idle"', "{", "}", "{]}"]))
+        elif kind == 2 and i + 1 < len(lines):
+            lines[i : i + 2] = [lines[i] + rng.choice([",", ", ", " "]) + lines[i + 1]]
+        elif kind == 3 and i < len(lines) and len(lines[i]) > 2:
+            cut = rng.randrange(1, len(lines[i]))
+            lines[i : i + 1] = [lines[i][:cut], lines[i][cut:]]
+        elif kind == 4 and i < len(lines):
+            lines[i] = rng.choice([" ", "\t", ""]) + lines[i] + rng.choice([" ", "\t", "", ","])
+        elif kind == 5 and i + 1 < len(lines):
+            lines[i], lines[i + 1] = lines[i + 1], lines[i]
+        elif kind == 6 and i < len(lines):
+            lines[i] = lines[i].replace("{", "{ ", 1).replace('"frame"', '"frame": 99, "frame"', rng.randrange(2))
+        elif kind == 7 and i < len(lines):
+            lines[i] = "[" + lines[i] + "]"
+    return "\n".join(lines) + rng.choice(["", "\n", "\n\n"])
+
+
+class TestBulkLabelParse:
+    def test_two_records_on_one_line_and_one_split_over_two(self, tmp_path):
+        path = tmp_path / "labels.jsonl"
+        one_line = '{"frame": 0, "label": "idle"}, {"frame": 1, "label": "move"}'
+        for lines in (
+            [one_line, '{"frame": 2,', '"label": "pick"}'],
+            [one_line, '{"frame": 2, "label": [{}', '{}]}'],
+            # joined with a comma these read as two good records, one per line
+            ['{"frame": 0, "label": "idle"}, {"frame": 1', '"label": "move"}'],
+        ):
+            path.write_text("\n".join(lines) + "\n")
+            with pytest.raises(LabelStreamError) as exc:
+                load_label_stream(path)
+            assert exc.value.line_number == 1
+            assert outcome(load_label_stream, path) == outcome(load_label_stream_per_line, path)
+
+    def test_blank_lines_and_padding_keep_line_numbers(self, tmp_path):
+        path = tmp_path / "labels.jsonl"
+        path.write_text('\n  {"frame": 0, "label": "idle"}\t\n\n{"frame": 1, "label": "tilt"}\n{"frame": 3, "label": "idle"}\n')
+        with pytest.raises(LabelStreamError) as exc:
+            load_label_stream(path)
+        assert exc.value.line_number == 5
+
+    def test_long_stream_reports_a_late_fault_by_line(self, tmp_path):
+        path = tmp_path / "labels.jsonl"
+        lines = [json.dumps({"frame": i, "label": PRIMITIVES[i % 7].value}) for i in range(10_000)]
+        path.write_text("\n".join(lines) + "\n")
+        assert load_label_stream(path).frames == tuple(PRIMITIVES[i % 7] for i in range(10_000))
+        lines[8_499] = json.dumps({"frame": 8_499, "label": "grab"})
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(LabelStreamError) as exc:
+            load_label_stream(path)
+        assert exc.value.line_number == 8_500 and "grab" in str(exc.value)
+
+    def test_seeded_damage_matches_per_line_loop(self, tmp_path, monkeypatch):
+        rng = random.Random(20261018)
+        path = tmp_path / "labels.jsonl"
+        loaded = 0
+        for _ in range(2000):
+            path.write_text(damaged_stream(rng))
+            expected = outcome(load_label_stream_per_line, path)
+            assert outcome(load_label_stream, path) == expected, path.read_text()
+            # blocks of a few lines, so a fault falls after whole blocks parsed in bulk
+            monkeypatch.setattr(actions, "_CHUNK_LINES", rng.randint(1, 4))
+            assert outcome(load_label_stream, path) == expected, path.read_text()
+            monkeypatch.undo()
+            loaded += isinstance(expected, PrimitiveStream)
+        assert 100 < loaded < 1900  # both the fast path and the error path were exercised

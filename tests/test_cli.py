@@ -141,6 +141,11 @@ class TestPlan:
             {"objects": [{"class": 5, "points": [[1, 2]]}]},
             {"objects": [{"class": "x", "points": [[10**400, 0], [0, 0]]}]},
             {"objects": [{"class": "x", "points": [[10**400, 0], [-10**400, 0]]}]},
+            # coordinates fit a float but their second moments do not
+            {"objects": [
+                {"class": "banana", "points": [[10**300, 10**300], [0, 1]]},
+                {"class": "plastic-box", "points": [[5, 5]]},
+            ]},
         ],
     )
     def test_mistyped_masks_exit_2(self, capsys, tmp_path, doc):
@@ -234,6 +239,10 @@ class TestRun:
             [{"primitive": "pick", "primary": {"x": "0.1", "y": 0.1, "theta": 0.0, "class": "banana"}}],
             [{"primitive": "pick", "primary": {"x": 0.1, "y": 0.1, "theta": 0.0, "class": 5}}],
             [{"primitive": "idle", "confidence": 5}],
+            *(
+                [{"primitive": "pick", "primary": {"x": 0.1, "y": 0.1, "theta": 0.0, "class": "banana", "degenerate": v}}]
+                for v in ("false", [0], 5, None)
+            ),
         ],
     )
     def test_mistyped_plan_exits_2(self, capsys, tmp_path, doc):

@@ -331,3 +331,99 @@ class TestWithoutNumpy:
         proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
         assert proc.returncode == 0, proc.stderr
         assert "SUCCESS" in proc.stdout
+
+
+def rle_of(pixels, rng: random.Random) -> list[list[int]]:
+    """Row runs covering a pixel set, with runs split at random points and rows shuffled."""
+    rows: dict[int, list[int]] = {}
+    for x, y in pixels:
+        rows.setdefault(y, []).append(x)
+    runs = []
+    for y, xs in rows.items():
+        xs.sort()
+        start = prev = xs[0]
+        for x in xs[1:]:
+            if x != prev + 1 or rng.random() < 0.3:
+                runs.append([y, start, prev - start + 1])
+                start = x
+            prev = x
+        runs.append([y, start, prev - start + 1])
+    rng.shuffle(runs)
+    return runs
+
+
+def brute_moments(pixels) -> tuple[int, ...]:
+    return (
+        len(pixels),
+        sum(x for x, _ in pixels),
+        sum(y for _, y in pixels),
+        sum(x * x for x, _ in pixels),
+        sum(y * y for _, y in pixels),
+        sum(x * y for x, y in pixels),
+    )
+
+
+def centred_fsum_angle(points) -> tuple[float, bool]:
+    """principal_angle as it was before masks became moments: centred, fsum, per point."""
+    n = len(points)
+    if n < 2:
+        return 0.0, True
+    mx, my = sum(x for x, _ in points) / n, sum(y for _, y in points) / n
+    dx = [x - mx for x, _ in points]
+    dy = [y - my for _, y in points]
+    cxx = math.fsum(a * a for a in dx) / n
+    cyy = math.fsum(b * b for b in dy) / n
+    cxy = math.fsum(a * b for a, b in zip(dx, dy)) / n
+    half_trace = 0.5 * (cxx + cyy)
+    disc = math.sqrt(max(0.25 * (cxx - cyy) ** 2 + cxy * cxy, 0.0))
+    lam_max, lam_min = half_trace + disc, half_trace - disc
+    if lam_max <= 0.0 or lam_max < 1.05 * lam_min:
+        return 0.0, True
+    return 0.5 * math.atan2(2.0 * cxy, cxx - cyy) % math.pi, False
+
+
+class TestMoments:
+    def load(self, directory, objects):
+        path = directory / "masks.json"
+        path.write_text(json.dumps({"objects": objects}))
+        return load_mask_file(path).masks
+
+    @given(
+        pixels=st.sets(st.tuples(st.integers(-8, 8), st.integers(-8, 8)), min_size=1, max_size=200),
+        offset=st.tuples(st.integers(-10**9, 10**9), st.integers(-10**9, 10**9)),
+        seed=st.integers(0, 2**32),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_points_and_runs_give_the_brute_force_moments(self, tmp_path_factory, pixels, offset, seed):
+        pixels = [(x + offset[0], y + offset[1]) for x, y in pixels]
+        rng = random.Random(seed)
+        rng.shuffle(pixels)
+        from_points, from_runs = self.load(
+            tmp_path_factory.mktemp("m"),
+            [{"class": "a", "points": [list(p) for p in pixels]}, {"class": "a", "rle_rows": rle_of(pixels, rng)}],
+        )
+        assert from_points.moments == from_runs.moments == mask_of(pixels).moments == brute_moments(pixels)
+        assert estimate_pose(from_points) == estimate_pose(from_runs)
+
+    def test_overlapping_runs_in_one_row_are_rejected(self, tmp_path):
+        for runs in ([[0, 0, 3], [0, 2, 2]], [[0, 2, 2], [0, 0, 3]], [[4, 1, 1], [4, 1, 1]], [[1, 0, 9], [0, 0, 1], [1, 3, 1]]):
+            with pytest.raises(ValueError, match="contains duplicate points"):
+                self.load(tmp_path, [{"class": "x", "rle_rows": runs}])
+
+    def test_touching_runs_repeated_columns_and_unsorted_rows_are_accepted(self, tmp_path):
+        runs = [[3, 2, 2], [1, 0, 2], [3, 0, 2], [2, 0, 2]]
+        (mask,) = self.load(tmp_path, [{"class": "x", "rle_rows": runs}])
+        assert mask.moments == brute_moments([(x, y) for y, x0, k in runs for x in range(x0, x0 + k)])
+
+    def test_a_long_run_is_not_expanded(self, tmp_path):
+        (mask,) = self.load(tmp_path, [{"class": "x", "rle_rows": [[7, 0, 10**12]]}])
+        assert estimate_pose(mask) == ObjectPose((10**12 - 1) / 2, 7.0, 0.0, "x", degenerate=False)
+
+    def test_float_clouds_agree_with_the_centred_formula(self):
+        for seed in range(400):
+            cloud = [tuple(map(float, p)) for p in random_cloud(seed)]
+            for points in (cloud, [(x * 1e-3 + 1e4, y * 7.0 - 3e3) for x, y in cloud]):
+                theta, degenerate = principal_angle(mask_of(points))
+                old_theta, old_degenerate = centred_fsum_angle(points)
+                assert degenerate == old_degenerate
+                assert angle_distance(theta, old_theta) <= 1e-12
