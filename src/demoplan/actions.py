@@ -48,7 +48,6 @@ class ActionPrimitive(str, Enum):
 
 PRIMITIVES: tuple[ActionPrimitive, ...] = tuple(ActionPrimitive)
 _BY_TOKEN = {p.value: p for p in PRIMITIVES}
-_FIELDS = {"frame", "label"}
 _CHUNK_LINES = 256  # label lines per json.loads; keeps few records alive at once
 
 
@@ -219,18 +218,20 @@ def load_label_stream(path: str | Path) -> PrimitiveStream:
 def _parse_block(block: list[str], frames: list[ActionPrimitive]) -> bool:
     """Append a block's labels read by one json.loads, or return False wherever _parse_lines could differ.
 
-    Only flat {"frame", "label"} objects are accepted, and a JSON string
-    cannot span lines, so frame numbers running on one per non-blank line
-    mean each line held exactly one record, the one the per-line parse reads.
+    Each non-blank line must hold exactly one "{" and one "}". N lines then
+    carry N of each, and the frame check below admits only N parsed objects,
+    which need all of them as their own braces. So no brace sits in a string
+    or a nested value, and record i is exactly line i, the record the
+    per-line parse reads.
     """
     lines = [s for s in map(str.strip, block) if s]
-    if not all(s[0] == "{" and s[-1] == "}" for s in lines):
+    if not all(s.count("{") == 1 == s.count("}") for s in lines):
         return False
     try:
         records = json.loads("[" + ",".join(lines) + "]")
     except (ValueError, RecursionError):
         return False
-    if any(type(r) is not dict or r.keys() != _FIELDS for r in records):
+    if any(type(r) is not dict or "frame" not in r or "label" not in r for r in records):
         return False
     numbers = [r["frame"] for r in records]
     if any(type(f) is not int for f in numbers) or numbers != list(range(len(frames), len(frames) + len(lines))):

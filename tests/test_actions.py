@@ -351,7 +351,7 @@ def damaged_stream(rng: random.Random) -> str:
     lines = [json.dumps(r, separators=rng.choice([(",", ":"), (", ", ": ")])) for r in records]
     for _ in range(rng.randint(0, 3)):
         i = rng.randrange(len(lines) + 1)
-        kind = rng.randrange(8)
+        kind = rng.randrange(9)
         if kind == 0:
             lines.insert(i, rng.choice(["", "   ", "\t"]))
         elif kind == 1:
@@ -369,6 +369,10 @@ def damaged_stream(rng: random.Random) -> str:
             lines[i] = lines[i].replace("{", "{ ", 1).replace('"frame"', '"frame": 99, "frame"', rng.randrange(2))
         elif kind == 7 and i < len(lines):
             lines[i] = "[" + lines[i] + "]"
+        elif kind == 8 and i < len(lines):
+            # a repeated "label" key whose first value is nested or runs over two lines
+            value = rng.choice(['[{}\n{}]', '"}\n{"', '{"a": 1}', '"idle"'])
+            lines[i : i + 1] = lines[i].replace('"label"', f'"label": {value}, "label"', 1).split("\n")
     return "\n".join(lines) + rng.choice(["", "\n", "\n\n"])
 
 
@@ -381,6 +385,9 @@ class TestBulkLabelParse:
             [one_line, '{"frame": 2, "label": [{}', '{}]}'],
             # joined with a comma these read as two good records, one per line
             ['{"frame": 0, "label": "idle"}, {"frame": 1', '"label": "move"}'],
+            # a repeated "label" key overrides a value spanning two lines
+            [one_line, '{"frame": 2, "label": [{}', '{}], "label": "idle"}'],
+            [one_line, '{"frame": 2, "label": "}', '{", "label": "idle"}'],
         ):
             path.write_text("\n".join(lines) + "\n")
             with pytest.raises(LabelStreamError) as exc:
