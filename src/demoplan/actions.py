@@ -15,10 +15,11 @@ from __future__ import annotations
 
 import json
 import random
+import re
 from collections import deque
 from dataclasses import dataclass
 from enum import Enum
-from itertools import chain, count, islice
+from itertools import islice
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -48,7 +49,10 @@ class ActionPrimitive(str, Enum):
 
 PRIMITIVES: tuple[ActionPrimitive, ...] = tuple(ActionPrimitive)
 _BY_TOKEN = {p.value: p for p in PRIMITIVES}
-_CHUNK_LINES = 256  # label lines per json.loads; keeps few records alive at once
+# The record form json.dumps writes; each space in the template stands for [ \t]*.
+_PLAIN = re.compile(
+    r'\{ "frame" : (0|[1-9][0-9]{0,17}) , "label" : "(%s)" \}'.replace(" ", "[ \t]*") % "|".join(_BY_TOKEN)
+)
 
 
 @dataclass(frozen=True)
@@ -128,9 +132,6 @@ def window_filter(stream: PrimitiveStream, w: int) -> KeySequence:
     if w < 1:
         raise ValueError("window width must be >= 1")
     frames = stream.frames
-    n = len(frames)
-    if n <= w:
-        return KeySequence((window_mode(frames),))
     # Running counts instead of a recount per window (Huang, Yang & Tang 1979;
     # Perreault & Hebert 2007). Each label keeps a deque of its positions
     # inside the window: the length is its count and the head its first
@@ -140,9 +141,10 @@ def window_filter(stream: PrimitiveStream, w: int) -> KeySequence:
     at = {p: deque() for p in dict.fromkeys(frames)}
     queues = list(at.values())
     label = {id(q): p for p, q in at.items()}
-    for j in range(w + 1):
-        at[frames[j]].append(j)
-    keys = [window_mode(frames[: w + 1])]
+    first = frames[: w + 1]
+    for j, p in enumerate(first):
+        at[p].append(j)
+    keys = [window_mode(first)]
     mq = at[keys[0]]
     slides = zip(map(at.__getitem__, frames), map(at.__getitem__, islice(frames, w + 1, None)))
     for j, (out, into) in enumerate(slides, start=w + 1):
@@ -199,71 +201,42 @@ def load_label_stream(path: str | Path) -> PrimitiveStream:
     """Read a JSONL label stream: one {"frame": int, "label": str} per line.
 
     Frames must be contiguous ascending from 0. Raises LabelStreamError with
-    the offending line number on any malformed record.
+    the offending line number on any malformed record, including one nested
+    too deeply or holding an int too long to convert.
+
+    A line that matches _PLAIN, the form json.dumps writes, is a JSON object
+    with exactly the keys "frame", a non-negative int of at most 18 digits,
+    and "label", one of the seven tokens; json.loads would read the same int
+    and string from it. Every other line is read by json.loads.
     """
     frames: list[ActionPrimitive] = []
     with open(path, "r", encoding="utf-8") as fh:
-        for first in count(1, _CHUNK_LINES):
-            block = list(islice(fh, _CHUNK_LINES))
-            if not block:
-                break
-            if not _parse_block(block, frames):
-                _parse_lines(chain(block, fh), first, frames)
-                break
+        for lineno, raw in enumerate(fh, start=1):
+            line = raw.strip()
+            if not line:
+                continue
+            plain = _PLAIN.fullmatch(line)
+            if plain:
+                frame, label = int(plain[1]), plain[2]
+            else:
+                try:
+                    record = json.loads(line)
+                except RecursionError:
+                    raise LabelStreamError(lineno, "JSON nested too deeply") from None
+                except ValueError as exc:  # a JSONDecodeError, or an int over Python's digit limit
+                    raise LabelStreamError(lineno, f"invalid JSON ({getattr(exc, 'msg', exc)})") from None
+                if not isinstance(record, dict) or "frame" not in record or "label" not in record:
+                    raise LabelStreamError(lineno, "record must carry 'frame' and 'label'")
+                frame, label = record["frame"], record["label"]
+            if type(frame) is not int or frame != len(frames):
+                raise LabelStreamError(lineno, f"frame {frame!r} breaks contiguous order (expected {len(frames)})")
+            try:
+                frames.append(_BY_TOKEN[label])
+            except (KeyError, TypeError):  # TypeError: a list or object label is unhashable
+                raise LabelStreamError(lineno, f"unknown action primitive {label!r}") from None
     if not frames:
         raise LabelStreamError(1, "label stream is empty")
     return PrimitiveStream(tuple(frames))
-
-
-def _parse_block(block: list[str], frames: list[ActionPrimitive]) -> bool:
-    """Append a block's labels read by one json.loads, or return False wherever _parse_lines could differ.
-
-    Each non-blank line must hold exactly one "{" and one "}". N lines then
-    carry N of each, and the frame check below admits only N parsed objects,
-    which need all of them as their own braces. So no brace sits in a string
-    or a nested value, and record i is exactly line i, the record the
-    per-line parse reads.
-    """
-    lines = [s for s in map(str.strip, block) if s]
-    if not all(s.count("{") == 1 == s.count("}") for s in lines):
-        return False
-    try:
-        records = json.loads("[" + ",".join(lines) + "]")
-    except (ValueError, RecursionError):
-        return False
-    if any(type(r) is not dict or "frame" not in r or "label" not in r for r in records):
-        return False
-    numbers = [r["frame"] for r in records]
-    if any(type(f) is not int for f in numbers) or numbers != list(range(len(frames), len(frames) + len(lines))):
-        return False
-    try:
-        labels = list(map(_BY_TOKEN.__getitem__, [r["label"] for r in records]))
-    except (KeyError, TypeError):
-        return False
-    frames += labels
-    return True
-
-
-def _parse_lines(lines: Iterable[str], first: int, frames: list[ActionPrimitive]) -> None:
-    """Append each line's label, raising LabelStreamError at the first bad record."""
-    for lineno, raw in enumerate(lines, start=first):
-        raw = raw.strip()
-        if not raw:
-            continue
-        try:
-            record = json.loads(raw)
-        except json.JSONDecodeError as exc:
-            raise LabelStreamError(lineno, f"invalid JSON ({exc.msg})") from None
-        if not isinstance(record, dict) or "frame" not in record or "label" not in record:
-            raise LabelStreamError(lineno, "record must carry 'frame' and 'label'")
-        if type(record["frame"]) is not int or record["frame"] != len(frames):
-            raise LabelStreamError(
-                lineno, f"frame {record['frame']!r} breaks contiguous order (expected {len(frames)})"
-            )
-        try:
-            frames.append(ActionPrimitive.parse(record["label"]))
-        except ValueError as exc:
-            raise LabelStreamError(lineno, str(exc)) from None
 
 
 def dump_label_stream(stream: PrimitiveStream, path: str | Path) -> None:

@@ -29,14 +29,23 @@ _KINDS = ((bool, "a boolean"), (str, "a string"), (list, "a list"), (dict, "an o
 
 
 def load_json(path: str | Path, document: str):
-    """Parse a JSON file whose objects raise ValueError when an absent field is looked up."""
+    """Parse a JSON file whose objects raise ValueError when an absent field is looked up.
+
+    Text that is not JSON, nests too deeply or holds an int too long to
+    convert is one ValueError naming the document.
+    """
 
     class Fields(dict):
         def __missing__(self, key):
             raise ValueError(f"{document} is missing field {key!r}")
 
     with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh, object_hook=Fields)
+        try:
+            return json.load(fh, object_hook=Fields)
+        except RecursionError:
+            raise ValueError(f"{document} is nested too deeply") from None
+        except ValueError as exc:
+            raise ValueError(f"{document} is not valid JSON ({exc})") from None
 
 
 def _kind(value: object) -> str:

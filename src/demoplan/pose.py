@@ -184,28 +184,29 @@ def _int_rows(value: object, width: int, what: str) -> list[tuple[int, ...]]:
 def load_mask_file(path: str | Path) -> DetectedScene:
     """Parse a mask JSON document into a DetectedScene.
 
-    Accepts, per object, either an explicit list of [x, y] pixels or row
-    run-length encoding ([y, x_start, run_len] triples), all JSON ints; both
-    reduce to the same moments and therefore the same pose. Duplicate
-    pixels, and runs that overlap within a row, are rejected.
+    Each object holds exactly one encoding: "points", a list of [x, y]
+    pixels, or "rle_rows", row run-length encoding as [y, x_start, run_len]
+    triples, all JSON ints. Both reduce to the same moments and therefore
+    the same pose. Duplicate pixels, and runs that overlap within a row, are
+    rejected.
     """
     doc = record(load_json(path, "mask file"), "mask file")
     masks: list[Mask] = []
     for i, obj in enumerate(array(doc["objects"], "mask file objects")):
         name = text(record(obj, f"mask object {i}")["class"], f"mask object {i} class")
         what = f"object {i} ({name})"
+        if ("points" in obj) == ("rle_rows" in obj):
+            raise ValueError(f"{what} needs exactly one of 'points' and 'rle_rows'")
         if "points" in obj:
             points = _int_rows(obj["points"], 2, f"{what} points")
             unique = len(set(points)) == len(points)
             moments = _point_moments(*zip(*points))
-        elif "rle_rows" in obj:
+        else:
             runs = sorted(_int_rows(obj["rle_rows"], 3, f"{what} rle_rows"))
             if min(k for _, _, k in runs) < 1:
                 raise ValueError(f"{what} has an rle run length below 1")
             unique = all(y0 != y1 or x0 + k0 <= x1 for (y0, x0, k0), (y1, x1, _) in zip(runs, runs[1:]))
             moments = _run_moments(runs)
-        else:
-            raise ValueError(f"{what} needs 'points' or 'rle_rows'")
         if not unique:
             raise ValueError(f"{what} contains duplicate points")
         masks.append(Mask(name, moments=moments))

@@ -4,7 +4,6 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from demoplan import actions
 from demoplan.actions import (
     ActionPrimitive,
     KeySequence,
@@ -413,7 +412,31 @@ class TestBulkLabelParse:
             load_label_stream(path)
         assert exc.value.line_number == 8_500 and "grab" in str(exc.value)
 
-    def test_seeded_damage_matches_per_line_loop(self, tmp_path, monkeypatch):
+    def test_lines_at_the_edge_of_the_plain_form_match_per_line_loop(self, tmp_path):
+        path = tmp_path / "labels.jsonl"
+        loaded = 0
+        for line in (
+            '{"frame": 01, "label": "idle"}',
+            '{"frame": -0, "label": "idle"}',
+            '{"frame": 100000000000000000, "label": "idle"}',  # 18 digits
+            '{"frame": 1000000000000000000, "label": "idle"}',  # 19 digits
+            '{"frame": 0, "label": "\\u0069dle"}',
+            '{"frame": 0, "label": "IDLE"}',
+            '{"frame": 0, "label": "idle "}',
+            '{"frame":0,"label":"idle"}',
+            '{\t"frame"\t:\t0\t,\t"label"\t:\t"idle"\t}',
+            '{"label": "idle", "frame": 0}',
+            '{"frame": 0, "label": "grab", "label": "idle"}',
+            '{"frame": 0, "label": "idle"}}',
+            '{"frame": 0, "label": "idle", }',
+        ):
+            path.write_text(line + "\n")
+            expected = outcome(load_label_stream_per_line, path)
+            assert outcome(load_label_stream, path) == expected, line
+            loaded += isinstance(expected, PrimitiveStream)
+        assert loaded == 6
+
+    def test_seeded_damage_matches_per_line_loop(self, tmp_path):
         rng = random.Random(20261018)
         path = tmp_path / "labels.jsonl"
         loaded = 0
@@ -421,9 +444,5 @@ class TestBulkLabelParse:
             path.write_text(damaged_stream(rng))
             expected = outcome(load_label_stream_per_line, path)
             assert outcome(load_label_stream, path) == expected, path.read_text()
-            # blocks of a few lines, so a fault falls after whole blocks parsed in bulk
-            monkeypatch.setattr(actions, "_CHUNK_LINES", rng.randint(1, 4))
-            assert outcome(load_label_stream, path) == expected, path.read_text()
-            monkeypatch.undo()
             loaded += isinstance(expected, PrimitiveStream)
         assert 100 < loaded < 1900  # both the fast path and the error path were exercised

@@ -68,6 +68,20 @@ class TestFilter:
     def test_missing_file_exits_2(self, capsys, tmp_path):
         assert run_cli("filter", "--labels", str(tmp_path / "nope.jsonl")) == 2
 
+    @pytest.mark.parametrize(
+        "line",
+        [
+            '{"frame": 1, "label": ' + "[" * 100_000 + "]" * 100_000 + "}",
+            '{"frame": ' + "1" * 5_000 + ', "label": "idle"}',
+        ],
+        ids=["nested", "long_int"],
+    )
+    def test_unreadable_line_exits_2_citing_line(self, capsys, tmp_path, line):
+        # raw text: json.dumps cannot write either line
+        labels = tmp_path / "bad.jsonl"
+        labels.write_text(json.dumps({"frame": 0, "label": "idle"}) + "\n" + line + "\n")
+        assert "line 2: " in assert_parse_error(run_cli("filter", "--labels", str(labels)), capsys)
+
     def test_window_width_flag(self, capsys, tmp_path):
         labels = tmp_path / "short.jsonl"
         rows = [json.dumps({"frame": i, "label": l}) for i, l in enumerate(["idle", "pick", "idle", "idle"])]
@@ -146,6 +160,11 @@ class TestPlan:
                 {"class": "banana", "points": [[10**300, 10**300], [0, 1]]},
                 {"class": "plastic-box", "points": [[5, 5]]},
             ]},
+            # two encodings of one mask
+            {"objects": [
+                {"class": "banana", "points": [[0, 0]], "rle_rows": [[0, 0, 2]]},
+                {"class": "plastic-box", "points": [[5, 5]]},
+            ]},
         ],
     )
     def test_mistyped_masks_exit_2(self, capsys, tmp_path, doc):
@@ -188,6 +207,27 @@ class TestPlan:
             "--calibration", str(cal),
         )
         assert "calibration is missing field 'scale'" in assert_parse_error(code, capsys)
+
+    @pytest.mark.parametrize(
+        "option, document, text",
+        [
+            ("--masks", "mask file", '{"objects": ' + "[" * 100_000 + "]" * 100_000 + "}"),
+            ("--masks", "mask file", '{"objects": [{"class": "x", "points": [[' + "1" * 5_000 + ", 0]]}]}"),
+            ("--masks", "mask file", ""),
+            ("--calibration", "calibration", '{"scale": ' + "[" * 100_000 + "]" * 100_000 + "}"),
+        ],
+        ids=["nested_masks", "long_int_masks", "empty_masks", "nested_calibration"],
+    )
+    def test_unreadable_json_exits_2_naming_the_document(self, capsys, tmp_path, option, document, text):
+        path = tmp_path / "doc.json"
+        path.write_text(text)
+        files = {
+            "--labels": fixtures.labels_path("pick_place"),
+            "--masks": fixtures.masks_path("pick_place"),
+            option: path,
+        }
+        code = run_cli("plan", *(arg for item in files.items() for arg in map(str, item)))
+        assert assert_parse_error(code, capsys).startswith(f"demoplan: error: {document} is ")
 
     def test_boolean_frame_exits_2(self, capsys, tmp_path):
         labels = tmp_path / "labels.jsonl"
