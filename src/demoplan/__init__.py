@@ -23,7 +23,6 @@ from .knowledge import (
     conditional_probability,
     parse_sentence,
     rank_candidates,
-    select_object_pair,
     select_single_object,
 )
 from .planner import BoundAction, BoundPlan, arity, bind_plan, validate_plan
@@ -78,7 +77,6 @@ __all__ = [
     "principal_angle",
     "rank_candidates",
     "run_plan",
-    "select_object_pair",
     "select_single_object",
     "sense_scene",
     "synthesize_stream",

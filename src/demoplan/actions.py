@@ -207,10 +207,11 @@ def load_label_stream(path: str | Path) -> PrimitiveStream:
     A line that matches _PLAIN, the form json.dumps writes, is a JSON object
     with exactly the keys "frame", a non-negative int of at most 18 digits,
     and "label", one of the seven tokens; json.loads would read the same int
-    and string from it. Every other line is read by json.loads.
+    and string from it. Every other line is read by json.loads, once it is
+    known to hold no byte that is not UTF-8 (each decodes to a lone surrogate).
     """
     frames: list[ActionPrimitive] = []
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.strip()
             if not line:
@@ -220,7 +221,10 @@ def load_label_stream(path: str | Path) -> PrimitiveStream:
                 frame, label = int(plain[1]), plain[2]
             else:
                 try:
+                    line.encode("utf-8")
                     record = json.loads(line)
+                except UnicodeEncodeError:
+                    raise LabelStreamError(lineno, "not valid UTF-8") from None
                 except RecursionError:
                     raise LabelStreamError(lineno, "JSON nested too deeply") from None
                 except ValueError as exc:  # a JSONDecodeError, or an int over Python's digit limit

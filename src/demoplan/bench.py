@@ -16,7 +16,7 @@ from pathlib import Path
 
 from . import fixtures
 from .actions import keys_from_names, synthesize_stream, window_filter
-from .knowledge import build_model, load_corpus, load_lexicon
+from .knowledge import CooccurrenceModel, build_model, load_corpus, load_lexicon
 from .planner import BindingError, bind_plan, validate_plan
 from .pose import load_calibration, load_mask_file, sense_scene
 from .sim import check_success, load_scenario, run_plan
@@ -32,7 +32,6 @@ class BenchConfig:
     corpus: Path = field(default_factory=fixtures.corpus_path)
     lexicon: Path = field(default_factory=fixtures.lexicon_path)
     calibration: Path = field(default_factory=fixtures.calibration_path)
-    tasks: tuple[str, ...] = fixtures.TASKS
 
 
 @dataclass
@@ -52,19 +51,18 @@ class TaskResult:
         return self.executed_steps / self.trials if self.trials else 0.0
 
 
-def run_trial(task: str, seed: int, cfg: BenchConfig, context: dict) -> tuple[bool, str | None, int]:
+def run_trial(inputs: tuple, model: CooccurrenceModel, seed: int, cfg: BenchConfig) -> tuple[bool, str | None, int]:
     """One pipeline pass; returns (success, failure reason, executed steps)."""
-    golden = context["golden"][task]
+    golden, poses, (world, task_spec, sim_cfg) = inputs
     stream = synthesize_stream(golden, cfg.frames_per_key, cfg.noise_rate, seed)
     keys = window_filter(stream, cfg.window_width)
     try:
-        plan = bind_plan(keys, context["poses"][task], context["model"])
+        plan = bind_plan(keys, poses, model)
     except BindingError as exc:
         return False, f"binding: {exc}", 0
     violations = validate_plan(plan)
     if violations:
         return False, f"validation: {violations[0]}", 0
-    world, task_spec, sim_cfg = context["scenario"][task]
     trace, final = run_plan(world, plan, sim_cfg)
     if not trace.all_ok:
         failure = trace.failure
@@ -74,26 +72,27 @@ def run_trial(task: str, seed: int, cfg: BenchConfig, context: dict) -> tuple[bo
     return True, None, len(trace.steps)
 
 
-def _load_context(cfg: BenchConfig) -> dict:
+def _load_inputs(cfg: BenchConfig) -> tuple[CooccurrenceModel, dict[str, tuple]]:
+    """The model and, per fixture task, its (golden keys, poses, scenario)."""
     cal = load_calibration(cfg.calibration)
     model = build_model(load_corpus(cfg.corpus), load_lexicon(cfg.lexicon))
-    context = {"model": model, "golden": {}, "poses": {}, "scenario": {}}
-    for task in cfg.tasks:
-        context["golden"][task] = keys_from_names(json.loads(fixtures.keys_path(task).read_text()))
-        context["poses"][task] = sense_scene(load_mask_file(fixtures.masks_path(task)), cal)
-        context["scenario"][task] = load_scenario(fixtures.scenario_path(task))
-    return context
+    tasks = {}
+    for task in fixtures.TASKS:
+        golden = keys_from_names(json.loads(fixtures.keys_path(task).read_text()))
+        poses = sense_scene(load_mask_file(fixtures.masks_path(task)), cal)
+        tasks[task] = (golden, poses, load_scenario(fixtures.scenario_path(task)))
+    return model, tasks
 
 
 def run_benchmark(cfg: BenchConfig) -> dict[str, TaskResult]:
-    """All tasks, cfg.trials trials each, seeds derived by a fixed counter."""
-    context = _load_context(cfg)
+    """All fixture tasks, cfg.trials trials each, seeds derived by a fixed counter."""
+    model, tasks = _load_inputs(cfg)
     results: dict[str, TaskResult] = {}
-    for task_index, task in enumerate(cfg.tasks):
+    for task_index, (task, inputs) in enumerate(tasks.items()):
         result = TaskResult(task=task)
         for trial in range(cfg.trials):
             seed = cfg.seed + task_index * cfg.trials + trial
-            ok, reason, steps = run_trial(task, seed, cfg, context)
+            ok, reason, steps = run_trial(inputs, model, seed, cfg)
             result.trials += 1
             result.executed_steps += steps
             if ok:

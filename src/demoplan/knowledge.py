@@ -18,20 +18,15 @@ from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
 from .actions import ActionPrimitive
-from .jsondoc import array, load_json, record, text
+from .jsondoc import array, load_json, primitive, record, text
 
 _TOKEN_RE = re.compile(r"[a-z0-9]+(?:-[a-z0-9]+)*")
 
 SINGLE_OBJECT_ACTIONS = (ActionPrimitive.PICK, ActionPrimitive.PLACE, ActionPrimitive.ROTATE)
-PAIR_ACTIONS = (ActionPrimitive.PUSH, ActionPrimitive.TILT)
 
 
 class EmptyModelError(ValueError):
     """Raised when a corpus yields no parseable (action, object) pairs."""
-
-
-class SelectionError(RuntimeError):
-    """Raised when a selection query cannot produce the required objects."""
 
 
 @dataclass(frozen=True)
@@ -48,9 +43,6 @@ class Lexicon:
     def __post_init__(self) -> None:
         object.__setattr__(self, "verbs", dict(self.verbs))
         object.__setattr__(self, "objects", frozenset(self.objects))
-        for verb, prim in self.verbs.items():
-            if not isinstance(prim, ActionPrimitive):
-                raise ValueError(f"verb {verb!r} maps to non-primitive {prim!r}")
 
     @property
     def max_phrase_len(self) -> int:
@@ -165,22 +157,9 @@ def rank_candidates(model: CooccurrenceModel, action: ActionPrimitive, candidate
     return sorted(set(candidates), key=lambda o: (-model.count(action, o), o))
 
 
-def rank_objects(model: CooccurrenceModel, action: ActionPrimitive) -> list[str]:
-    """Objects with positive count for the action, most frequent first, ties lexicographic."""
-    table = model.counts.get(action, {})
-    return rank_candidates(model, action, (o for o, n in table.items() if n > 0))
-
-
 @dataclass(frozen=True)
 class SingleChoice:
     name: str
-    low_confidence: bool = False
-
-
-@dataclass(frozen=True)
-class PairChoice:
-    primary: str
-    target: str
     low_confidence: bool = False
 
 
@@ -203,30 +182,15 @@ def select_single_object(
     return SingleChoice(name=ranked[0], low_confidence=model.count(action, ranked[0]) == 0)
 
 
-def select_object_pair(
-    model: CooccurrenceModel,
-    action: ActionPrimitive,
-    detected: Iterable[str],
-) -> PairChoice:
-    """Pick (manipulated, target) objects for two-object actions.
-
-    The first two detected objects in rank_candidates order become the
-    manipulated object and the target; the choice is low confidence when the
-    target has no count, i.e. when fewer than two detected objects are ranked.
-    """
-    if action not in PAIR_ACTIONS:
-        raise ValueError(f"{action.value} is not a two-object action")
-    ranked = rank_candidates(model, action, detected)
-    if len(ranked) < 2:
-        raise SelectionError(f"{action.value} needs two detected objects, got {len(ranked)}")
-    return PairChoice(primary=ranked[0], target=ranked[1], low_confidence=model.count(action, ranked[1]) == 0)
-
-
 def load_corpus(path: str | Path) -> list[str]:
     """Read a sentence-per-line corpus; blank lines and '#' comments ignored."""
     sentences: list[str] = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for raw in fh:
+    with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
+        for lineno, raw in enumerate(fh, start=1):
+            try:
+                raw.encode("utf-8")
+            except UnicodeEncodeError:
+                raise ValueError(f"corpus line {lineno} is not valid UTF-8") from None
             line = raw.strip()
             if not line or line.startswith("#"):
                 continue
@@ -236,7 +200,7 @@ def load_corpus(path: str | Path) -> list[str]:
 
 def load_lexicon(path: str | Path) -> Lexicon:
     doc = record(load_json(path, "lexicon"), "lexicon")
-    verbs = {v.lower(): ActionPrimitive.parse(p) for v, p in record(doc["verbs"], "lexicon verbs").items()}
+    verbs = {v.lower(): primitive(p, f"lexicon verb {v!r}") for v, p in record(doc["verbs"], "lexicon verbs").items()}
     objects = frozenset(text(o, "lexicon object").lower() for o in array(doc["objects"], "lexicon objects"))
     return Lexicon(verbs=verbs, objects=objects)
 

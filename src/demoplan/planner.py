@@ -31,7 +31,7 @@ from pathlib import Path
 from typing import Sequence
 
 from .actions import ActionPrimitive, KeySequence
-from .jsondoc import array, flag, load_json, number, record, text
+from .jsondoc import array, flag, load_json, number, primitive, record, text
 from .knowledge import CooccurrenceModel, rank_candidates
 from .pose import ObjectPose
 
@@ -66,7 +66,6 @@ class BoundAction:
 @dataclass(frozen=True)
 class BoundPlan:
     steps: tuple[BoundAction, ...]
-    keys: tuple[ActionPrimitive, ...]  # provenance: the source key sequence
 
     def __len__(self) -> int:
         return len(self.steps)
@@ -159,7 +158,7 @@ def bind_plan(
         elif step.anchor() is not None:
             approach = step.anchor()
 
-    return BoundPlan(steps=tuple(steps), keys=tuple(keys.keys))
+    return BoundPlan(steps=tuple(steps))
 
 
 def validate_plan(plan: BoundPlan) -> list[str]:
@@ -252,10 +251,10 @@ def load_plan(path: str | Path) -> BoundPlan:
         item = record(item, f"plan step {i}")
         steps.append(
             BoundAction(
-                primitive=ActionPrimitive.parse(item["primitive"]),
+                primitive=primitive(item["primitive"], f"plan step {i} primitive"),
                 primary=_pose_from_json(item.get("primary"), f"plan step {i} primary"),
                 target=_pose_from_json(item.get("target"), f"plan step {i} target"),
                 confidence=text(item.get("confidence", NORMAL), f"plan step {i} confidence"),
             )
         )
-    return BoundPlan(steps=tuple(steps), keys=tuple(s.primitive for s in steps))
+    return BoundPlan(steps=tuple(steps))

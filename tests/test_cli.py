@@ -73,13 +73,15 @@ class TestFilter:
         [
             '{"frame": 1, "label": ' + "[" * 100_000 + "]" * 100_000 + "}",
             '{"frame": ' + "1" * 5_000 + ', "label": "idle"}',
+            '{"frame": 1, "label": "\udcff"}',  # the byte 0xff, which is not UTF-8
         ],
-        ids=["nested", "long_int"],
+        ids=["nested", "long_int", "invalid_utf8"],
     )
     def test_unreadable_line_exits_2_citing_line(self, capsys, tmp_path, line):
-        # raw text: json.dumps cannot write either line
+        # raw text: json.dumps cannot write any of these lines
         labels = tmp_path / "bad.jsonl"
-        labels.write_text(json.dumps({"frame": 0, "label": "idle"}) + "\n" + line + "\n")
+        text = json.dumps({"frame": 0, "label": "idle"}) + "\n" + line + "\n"
+        labels.write_bytes(text.encode("utf-8", "surrogateescape"))
         assert "line 2: " in assert_parse_error(run_cli("filter", "--labels", str(labels)), capsys)
 
     def test_window_width_flag(self, capsys, tmp_path):
@@ -283,13 +285,15 @@ class TestRun:
                 [{"primitive": "pick", "primary": {"x": 0.1, "y": 0.1, "theta": 0.0, "class": "banana", "degenerate": v}}]
                 for v in ("false", [0], 5, None)
             ),
+            [{"primitive": 5}],
+            [{"primitive": "grab"}],
         ],
     )
     def test_mistyped_plan_exits_2(self, capsys, tmp_path, doc):
         plan = tmp_path / "plan.json"
         plan.write_text(json.dumps(doc))
         code = run_cli("run", "--plan", str(plan), "--scenario", str(fixtures.scenario_path("pick_place")))
-        assert_parse_error(code, capsys)
+        assert "plan step 0 " in assert_parse_error(code, capsys)
 
     @pytest.mark.parametrize(
         "task",
@@ -471,6 +475,12 @@ class TestCorpusStats:
         missing = tmp_path / "none.txt"
         assert run_cli("corpus", "stats", "--corpus", str(missing)) == 2
 
+    def test_invalid_utf8_corpus_exits_2_naming_the_line(self, tmp_path, capsys):
+        corpus = tmp_path / "corpus.txt"
+        corpus.write_bytes(b"pick the apple\npush the \xff pear\n")
+        err = assert_parse_error(run_cli("corpus", "stats", "--corpus", str(corpus)), capsys)
+        assert "corpus line 2 " in err
+
     @pytest.mark.parametrize(
         "doc",
         [
@@ -478,12 +488,13 @@ class TestCorpusStats:
             [1],
             {"verbs": {"pick": "pick"}, "objects": 5},
             {"verbs": {"pick": "pick"}, "objects": ["apple", 5]},
+            {"verbs": {"pick": [1]}, "objects": ["apple"]},
         ],
     )
     def test_mistyped_lexicon_exits_2(self, tmp_path, capsys, doc):
         lexicon = tmp_path / "lexicon.json"
         lexicon.write_text(json.dumps(doc))
-        assert_parse_error(run_cli("corpus", "stats", "--lexicon", str(lexicon)), capsys)
+        assert "lexicon" in assert_parse_error(run_cli("corpus", "stats", "--lexicon", str(lexicon)), capsys)
 
 
 @pytest.mark.parametrize(

@@ -3,13 +3,11 @@ import random
 
 import pytest
 
-from demoplan.actions import ActionPrimitive
+from demoplan.actions import ActionPrimitive, KeySequence
 from demoplan.knowledge import (
     CooccurrenceModel,
     EmptyModelError,
     Lexicon,
-    PairChoice,
-    SelectionError,
     SingleChoice,
     build_model,
     conditional_probability,
@@ -17,12 +15,12 @@ from demoplan.knowledge import (
     load_lexicon,
     parse_sentence,
     rank_candidates,
-    rank_objects,
-    select_object_pair,
     select_single_object,
     stats_tsv,
 )
 from demoplan import fixtures
+from demoplan.planner import LOW_CONFIDENCE, bind_plan
+from demoplan.pose import ObjectPose
 
 PICK = ActionPrimitive.PICK
 PLACE = ActionPrimitive.PLACE
@@ -166,39 +164,6 @@ class TestSelectSingleObject:
             select_single_object(fixture_model, PICK, set())
 
 
-class TestSelectObjectPair:
-    def test_rank_and_filter_by_hand(self):
-        model = CooccurrenceModel.from_counts({PUSH: {"carrot": 5, "plate": 4, "grape": 1}})
-        choice = select_object_pair(model, PUSH, {"grape", "plate"})
-        assert (choice.primary, choice.target) == ("plate", "grape")
-        assert not choice.low_confidence
-
-    def test_fixture_style_ranking(self):
-        model = CooccurrenceModel.from_counts({PUSH: {"grape": 3, "croissant": 2}})
-        choice = select_object_pair(model, PUSH, {"grape", "croissant"})
-        assert (choice.primary, choice.target) == ("grape", "croissant")
-
-    def test_zero_count_pair_falls_back_deterministically(self):
-        model = CooccurrenceModel.from_counts({PUSH: {"apple": 2}})
-        choice = select_object_pair(model, PUSH, {"pear", "corn"})
-        assert choice == PairChoice(primary="corn", target="pear", low_confidence=True)
-
-    def test_partial_ranking_completes_lexicographically(self):
-        model = CooccurrenceModel.from_counts({TILT: {"bowl": 4}})
-        choice = select_object_pair(model, TILT, {"bowl", "cup", "apple"})
-        assert choice.primary == "bowl"
-        assert choice.target == "apple"
-        assert choice.low_confidence
-
-    def test_fewer_than_two_detected_rejected(self, fixture_model):
-        with pytest.raises(SelectionError):
-            select_object_pair(fixture_model, PUSH, {"apple"})
-
-    def test_single_object_action_rejected(self, fixture_model):
-        with pytest.raises(ValueError):
-            select_object_pair(fixture_model, PICK, {"apple", "pear"})
-
-
 def literal_pair_oracle(counts, action, detected):
     """The pair rule as worded: ranked hits first, then lexicographic fill.
 
@@ -212,10 +177,31 @@ def literal_pair_oracle(counts, action, detected):
     chosen = [o for o in ranked if o in detected][:2]
     low_confidence = len(chosen) < 2
     chosen += [o for o in sorted(detected) if o not in chosen][: 2 - len(chosen)]
-    return PairChoice(primary=chosen[0], target=chosen[1], low_confidence=low_confidence)
+    return chosen[0], chosen[1], low_confidence
+
+
+def bind_pair(model, action, detected):
+    """(primary, target, low confidence) of a one-key push or tilt plan bound with an empty gripper."""
+    poses = [ObjectPose(0.3, 0.3, 0.0, name) for name in sorted(detected)]
+    step = bind_plan(KeySequence((action,)), poses, model).steps[0]
+    return step.primary.class_name, step.target.class_name, step.confidence == LOW_CONFIDENCE
 
 
 class TestPairMatchesLiteralOracle:
+    @pytest.mark.parametrize(
+        "counts, action, detected, expected",
+        [
+            ({PUSH: {"carrot": 5, "plate": 4, "grape": 1}}, PUSH, {"grape", "plate"}, ("plate", "grape", False)),
+            ({PUSH: {"grape": 3, "croissant": 2}}, PUSH, {"grape", "croissant"}, ("grape", "croissant", False)),
+            ({PUSH: {"apple": 2}}, PUSH, {"pear", "corn"}, ("corn", "pear", True)),
+            ({TILT: {"bowl": 4}}, TILT, {"bowl", "cup", "apple"}, ("bowl", "apple", True)),
+        ],
+        ids=["hand_ranking", "fixture_style", "zero_count_fallback", "partial_ranking"],
+    )
+    def test_hand_cases(self, counts, action, detected, expected):
+        assert literal_pair_oracle(counts, action, detected) == expected
+        assert bind_pair(CooccurrenceModel.from_counts(counts), action, detected) == expected
+
     def test_random_count_tables_and_pools(self):
         rng = random.Random(3)
         names = ["", "apple", "bowl", "corn", "cup", "grape", "pear", "plate"]
@@ -229,7 +215,7 @@ class TestPairMatchesLiteralOracle:
             detected = set(rng.sample(names, rng.randint(2, 6)))
             for action in (PUSH, TILT):
                 expected = literal_pair_oracle(counts, action, detected)
-                assert select_object_pair(model, action, detected) == expected, (counts, action, detected)
+                assert bind_pair(model, action, detected) == expected, (counts, action, detected)
 
 
 def brute_force_single(sentences, lex, action, detected):
@@ -273,9 +259,7 @@ class TestModelProperties:
                 select_single_object(model, action, detected).name
                 == select_single_object(scaled, action, detected).name
             )
-        pair_a = select_object_pair(model, PUSH, detected)
-        pair_b = select_object_pair(scaled, PUSH, detected)
-        assert (pair_a.primary, pair_a.target) == (pair_b.primary, pair_b.target)
+        assert rank_candidates(model, PUSH, detected) == rank_candidates(scaled, PUSH, detected)
 
     def test_adding_a_pairing_never_decreases_probability(self, lex):
         base = ["pick the apple", "pick the banana", "pick the banana"]
@@ -289,8 +273,9 @@ class TestModelProperties:
         sentences = ["pick the apple", "push the pear", "pick the banana", "push the grape"]
         a = build_model(sentences, lex)
         b = build_model(list(reversed(sentences)), lex)
+        pool = a.objects() | b.objects()
         for action in (PICK, PUSH):
-            assert rank_objects(a, action) == rank_objects(b, action)
+            assert rank_candidates(a, action, pool) == rank_candidates(b, action, pool)
             assert a.counts.get(action) == b.counts.get(action)
 
 
@@ -303,7 +288,7 @@ class TestCorpusIO:
     def test_lexicon_validates_primitives(self, tmp_path):
         path = tmp_path / "lexicon.json"
         path.write_text('{"verbs": {"yank": "grabble"}, "objects": ["apple"]}')
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="lexicon verb 'yank' must be an action primitive"):
             load_lexicon(path)
 
     def test_lexicon_lowercases(self, tmp_path):

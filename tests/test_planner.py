@@ -172,7 +172,6 @@ class TestValidatePlan:
     def test_place_without_holding(self):
         plan = BoundPlan(
             steps=(BoundAction(PLACE, target=pose("bowl")),),
-            keys=(PLACE,),
         )
         report = validate_plan(plan)
         assert any("place while not holding" in v for v in report)
@@ -183,7 +182,6 @@ class TestValidatePlan:
                 BoundAction(PICK, primary=pose("apple")),
                 BoundAction(PICK, primary=pose("banana")),
             ),
-            keys=(PICK, PICK),
         )
         report = validate_plan(plan)
         assert any("pick while holding" in v for v in report)
@@ -194,7 +192,6 @@ class TestValidatePlan:
                 BoundAction(PICK, primary=pose("apple")),
                 BoundAction(PLACE, target=pose("banana")),
             ),
-            keys=(PICK, PLACE),
         )
         report = validate_plan(plan)
         assert any("not a container" in v for v in report)
@@ -208,7 +205,6 @@ class TestValidatePlan:
     def test_push_needs_both_slots(self):
         plan = BoundPlan(
             steps=(BoundAction(PUSH, primary=pose("grape")),),
-            keys=(PUSH,),
         )
         assert any("two bound objects" in v for v in validate_plan(plan))
 
@@ -218,7 +214,6 @@ class TestValidatePlan:
                 BoundAction(PICK, primary=pose("apple")),
                 BoundAction(PUSH, primary=pose("grape"), target=pose("pear", x=0.6)),
             ),
-            keys=(PICK, PUSH),
         )
         assert any("push while holding" in v for v in validate_plan(plan))
 

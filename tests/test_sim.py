@@ -287,7 +287,7 @@ class TestRunPlan:
     def test_halts_at_first_failure(self):
         plan, world, _, cfg = self.load_task("pick_place")
         # place before pick: reorder the bound steps
-        bad = BoundPlan(steps=(plan.steps[4], plan.steps[2]), keys=(PLACE, PICK))
+        bad = BoundPlan(steps=(plan.steps[4], plan.steps[2]))
         trace, final = run_plan(world, bad, cfg)
         assert len(trace.steps) == 1
         assert trace.steps[0].outcome == "failed"
@@ -296,7 +296,7 @@ class TestRunPlan:
 
     def test_failed_step_keeps_pre_state_digest(self):
         plan, world, _, cfg = self.load_task("pick_place")
-        bad = BoundPlan(steps=(plan.steps[4],), keys=(PLACE,))
+        bad = BoundPlan(steps=(plan.steps[4],))
         trace, _ = run_plan(world, bad, cfg)
         step = trace.steps[0]
         assert step.pre_digest == step.post_digest
