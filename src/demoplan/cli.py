@@ -23,7 +23,7 @@ from . import bench as bench_mod
 from . import fixtures
 from .actions import load_label_stream, window_filter
 from .knowledge import build_model, load_corpus, load_lexicon, stats_tsv
-from .planner import BindingError, bind_plan, dump_plan, load_plan, plan_to_json, validate_plan
+from .planner import BindingError, bind_plan, load_plan, plan_text, validate_plan
 from .pose import load_calibration, load_mask_file, sense_scene
 from .sim import check_success, load_scenario, run_plan, trace_to_jsonl
 
@@ -63,10 +63,9 @@ def cmd_plan(args: argparse.Namespace) -> int:
         for v in violations:
             _err(f"validation: {v}")
         return EXIT_BINDING
-    text = json.dumps(plan_to_json(plan), indent=2, sort_keys=True) + "\n"
+    text = plan_text(plan)
     sys.stdout.write(text)
-    if args.out:
-        dump_plan(plan, args.out)
+    _write(args.out, text)
     return EXIT_OK
 
 

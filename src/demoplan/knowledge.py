@@ -200,7 +200,12 @@ def load_corpus(path: str | Path) -> list[str]:
 
 def load_lexicon(path: str | Path) -> Lexicon:
     doc = record(load_json(path, "lexicon"), "lexicon")
-    verbs = {v.lower(): primitive(p, f"lexicon verb {v!r}") for v, p in record(doc["verbs"], "lexicon verbs").items()}
+    table = record(doc["verbs"], "lexicon verbs")
+    spelled: dict[str, str] = {}
+    for v in table:
+        if spelled.setdefault(v.lower(), v) != v:
+            raise ValueError(f"lexicon verbs {spelled[v.lower()]!r} and {v!r} differ only in case")
+    verbs = {v.lower(): primitive(p, f"lexicon verb {v!r}") for v, p in table.items()}
     objects = frozenset(text(o, "lexicon object").lower() for o in array(doc["objects"], "lexicon objects"))
     return Lexicon(verbs=verbs, objects=objects)
 

@@ -1,26 +1,21 @@
 """Bind a key action sequence to concrete scene objects.
 
 Each key primitive is grounded against the sensed scene using the
-co-occurrence model: a step takes as many objects as it acts on from the
-head of the candidates ordered by (-N(action, obj), name), which is the
-argmax of P(obj | action) with ties broken by name. The binder walks a
-holding flag so that the object in the gripper shapes later queries:
+co-occurrence model: a step fills the slots of its entry in CONTRACTS, which
+validate_plan and the simulator read too, from the head of the candidates
+ordered by (-N(action, obj), name), the argmax of P(obj | action) with ties
+broken by name. The binder walks a holding flag so that the object in the
+gripper shapes later queries:
 
   - the held class is never a candidate,
   - classes already picked earlier in the plan are candidates only for
     place (a demonstration handles each object at most once),
-  - tilt while holding needs only a target; the held object is implicit and
-    is set down when the pour finishes,
   - rotate grounds to the held object when there is one.
 
 ``move`` has no object of its own: it is bound to the pose of the object the
 next grounded step works on (an approach waypoint). A trailing move with no
 such step is left unbound, which the executor reads as "go to the delivery
 zone", standing in for handing the object to a person.
-
-Bound plan slots: pick/rotate carry their object in ``primary``; place and
-tilt carry the destination in ``target``; push carries both; move carries an
-approach pose in ``target`` or nothing.
 """
 
 from __future__ import annotations
@@ -28,7 +23,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .actions import ActionPrimitive, KeySequence
 from .jsondoc import array, flag, load_json, number, primitive, record, text
@@ -70,36 +65,48 @@ class BoundPlan:
     def __len__(self) -> int:
         return len(self.steps)
 
-    def __iter__(self):
-        return iter(self.steps)
+
+class Contract(NamedTuple):
+    """What an object-taking primitive binds and needs of the gripper.
+
+    A primitive that needs a held object sets it into its target, which must
+    be a container; the held object stands for its primary (tilt's pour).
+    """
+
+    slots: tuple[str, ...]  # bound in candidate order from an empty gripper
+    empty: str  # the refusal of a step that leaves a slot empty
+    no_candidate: str | None  # binding error of a one-object step; a pair says how many it had
+    needs: bool | None  # the gripper must hold (True), be empty (False) or either (None)
+    leaves: bool | None  # afterwards the gripper holds (True), is empty (False) or is unchanged (None)
+
+    def bound(self, holding: bool) -> tuple[str, ...]:
+        """The slots a step binds from the candidates: only the target once the object it needs is held."""
+        return self.slots[-1:] if holding and self.needs else self.slots
+
+
+CONTRACTS = {
+    ActionPrimitive.PICK: Contract(("primary",), "pick has no bound object", "no candidate object left to pick", False, True),
+    ActionPrimitive.PLACE: Contract(("target",), "place has no bound target", "no candidate target for place", True, False),
+    ActionPrimitive.ROTATE: Contract(("primary",), "rotate has no bound object", "no candidate object to rotate", None, None),
+    ActionPrimitive.PUSH: Contract(("primary", "target"), "push needs two bound objects", None, False, None),
+    ActionPrimitive.TILT: Contract(("primary", "target"), "tilt has no bound target", "no candidate pour target", True, False),
+}
 
 
 def arity(primitive: ActionPrimitive, holding: bool) -> int:
-    """Number of objects a primitive interacts with.
-
-    pick/place/rotate involve one object; push and tilt involve two, except
-    that tilt while holding needs only the pour target because the poured
-    object is already in the gripper.
-    """
-    if primitive in (ActionPrimitive.IDLE, ActionPrimitive.MOVE):
-        return 0
-    if primitive in (ActionPrimitive.PICK, ActionPrimitive.PLACE, ActionPrimitive.ROTATE):
-        return 1
-    if primitive == ActionPrimitive.PUSH:
-        return 2
-    if primitive == ActionPrimitive.TILT:
-        return 1 if holding else 2
-    raise ValueError(f"unknown primitive {primitive!r}")
+    """Number of objects a primitive binds from the candidates; idle and move bind none."""
+    contract = CONTRACTS.get(primitive)
+    return 0 if contract is None else len(contract.bound(holding))
 
 
-# Why a one-object step finds nothing to bind; a two-object step says how
-# many candidates it had instead.
-_NO_CANDIDATE = {
-    ActionPrimitive.PICK: "no candidate object left to pick",
-    ActionPrimitive.PLACE: "no candidate target for place",
-    ActionPrimitive.ROTATE: "no candidate object to rotate",
-    ActionPrimitive.TILT: "no candidate pour target",
-}
+def unfilled(step: BoundAction) -> str | None:
+    """The contract's refusal when the step leaves a slot it must fill empty (tilt: its target), else None."""
+    contract = CONTRACTS.get(step.primitive)
+    if contract is not None:
+        for slot in contract.bound(bool(contract.needs)):
+            if getattr(step, slot) is None:
+                return contract.empty
+    return None
 
 
 def bind_plan(
@@ -109,11 +116,11 @@ def bind_plan(
 ) -> BoundPlan:
     """Ground every key primitive against the sensed scene poses.
 
-    Each grounded step binds the first arity(key, holding) candidates in
-    rank_candidates order, the first pose of each class standing for it; the
-    step is low confidence when the last of them has no count. Candidates are
-    the detected classes other than the held one and, except for place, the
-    ones already picked.
+    Each grounded step fills the slots its contract binds for the current
+    gripper state with the first rank_candidates, the first pose of each
+    class standing for it; the step is low confidence when the last of them
+    has no count. Candidates are the detected classes other than the held one
+    and, except for place, the ones already picked.
 
     Raises BindingError when a step cannot be grounded at all (for example a
     two-object action with fewer than two candidate objects). Ill-ordered
@@ -127,27 +134,26 @@ def bind_plan(
     steps: list[BoundAction | None] = []
 
     for idx, key in enumerate(keys):
-        k = arity(key, holding is not None)
-        if k == 0:  # a move is resolved against the next grounded step below
+        contract = CONTRACTS.get(key)
+        if contract is None:  # a move is resolved against the next grounded step below
             steps.append(None if key == ActionPrimitive.MOVE else BoundAction(key))
             continue
         if key == ActionPrimitive.ROTATE and holding is not None:
             steps.append(BoundAction(key, primary=first_pose[holding]))
             continue
+        slots = contract.bound(holding is not None)
         pool = first_pose.keys() - {holding} - (set() if key == ActionPrimitive.PLACE else picked)
-        if len(pool) < k:
-            reason = _NO_CANDIDATE[key] if k == 1 else f"{key.value} needs two detected objects, got {len(pool)}"
+        if len(pool) < len(slots):
+            reason = contract.no_candidate if len(slots) == 1 else f"{key.value} needs two detected objects, got {len(pool)}"
             raise BindingError(idx, reason)
-        chosen = rank_candidates(model, key, pool)[:k]
-        target_only = k == 1 and key in (ActionPrimitive.PLACE, ActionPrimitive.TILT)
-        slots = ("target",) if target_only else ("primary", "target")[:k]
+        chosen = rank_candidates(model, key, pool)[: len(slots)]
         confidence = LOW_CONFIDENCE if model.count(key, chosen[-1]) == 0 else NORMAL
         steps.append(BoundAction(key, confidence=confidence, **{s: first_pose[o] for s, o in zip(slots, chosen)}))
-        if key == ActionPrimitive.PICK:
+        if contract.leaves:
             picked.add(chosen[0])
             holding = chosen[0]
-        elif key in (ActionPrimitive.PLACE, ActionPrimitive.TILT):
-            holding = None  # a poured object is set down beside the target
+        elif contract.leaves is False:
+            holding = None  # a placed or poured object stays by the target
 
     # Each move approaches the anchor of the next grounded step, if any.
     approach: ObjectPose | None = None
@@ -162,7 +168,7 @@ def bind_plan(
 
 
 def validate_plan(plan: BoundPlan) -> list[str]:
-    """Check gripper consistency, slot completeness, and container targets.
+    """Check slot completeness, container targets and gripper consistency.
 
     Returns an ordered list of human-readable violations; empty means valid.
     """
@@ -170,34 +176,22 @@ def validate_plan(plan: BoundPlan) -> list[str]:
     holding = False
     for idx, step in enumerate(plan.steps):
         p = step.primitive
-        if p == ActionPrimitive.IDLE:
-            if step.primary is not None or step.target is not None:
+        contract = CONTRACTS.get(p)
+        if contract is None:
+            if p == ActionPrimitive.IDLE and (step.primary is not None or step.target is not None):
                 violations.append(f"step {idx}: idle must not carry poses")
-        elif p == ActionPrimitive.MOVE:
-            if step.primary is not None:
+            elif p == ActionPrimitive.MOVE and step.primary is not None:
                 violations.append(f"step {idx}: move carries a pose in the wrong slot")
-        elif p == ActionPrimitive.PICK:
-            if step.primary is None:
-                violations.append(f"step {idx}: pick has no bound object")
-            if holding:
-                violations.append(f"step {idx}: pick while holding")
-            holding = True
-        elif p in (ActionPrimitive.PLACE, ActionPrimitive.TILT):
-            if step.target is None:
-                violations.append(f"step {idx}: {p.value} has no bound target")
-            elif step.target.class_name not in _CONTAINER_CLASSES:
-                violations.append(f"step {idx}: {p.value} target '{step.target.class_name}' is not a container")
-            if not holding:
-                violations.append(f"step {idx}: {p.value} while not holding")
-            holding = False
-        elif p == ActionPrimitive.PUSH:
-            if step.primary is None or step.target is None:
-                violations.append(f"step {idx}: push needs two bound objects")
-            if holding:
-                violations.append(f"step {idx}: push while holding")
-        elif p == ActionPrimitive.ROTATE:
-            if step.primary is None:
-                violations.append(f"step {idx}: rotate has no bound object")
+            continue
+        empty = unfilled(step)
+        if empty is not None:
+            violations.append(f"step {idx}: {empty}")
+        elif contract.needs and step.target.class_name not in _CONTAINER_CLASSES:
+            violations.append(f"step {idx}: {p.value} target '{step.target.class_name}' is not a container")
+        if contract.needs is not None and contract.needs != holding:
+            violations.append(f"step {idx}: {p.value} while {'not ' if contract.needs else ''}holding")
+        if contract.leaves is not None:
+            holding = contract.leaves
     return violations
 
 
@@ -239,10 +233,13 @@ def plan_to_json(plan: BoundPlan) -> list[dict]:
     return [bound_action_to_json(step) for step in plan.steps]
 
 
+def plan_text(plan: BoundPlan) -> str:
+    """The plan file's text: the JSON steps, indented, keys sorted, one trailing newline."""
+    return json.dumps(plan_to_json(plan), indent=2, sort_keys=True) + "\n"
+
+
 def dump_plan(plan: BoundPlan, path: str | Path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(plan_to_json(plan), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    Path(path).write_text(plan_text(plan), encoding="utf-8")
 
 
 def load_plan(path: str | Path) -> BoundPlan:

@@ -40,7 +40,7 @@ from typing import Iterable, Mapping
 
 from .actions import ActionPrimitive
 from .jsondoc import array, load_json, positive, record, text, vector
-from .planner import BoundAction, BoundPlan, bound_action_to_json
+from .planner import CONTRACTS, BoundAction, BoundPlan, bound_action_to_json, unfilled
 from .pose import ObjectPose
 
 ITEM = "item"
@@ -281,8 +281,6 @@ def _container(world: WorldState, act: BoundAction, verb: str, into: str) -> tup
     held = world.gripper.holding
     if held is None:
         raise _Refused(f"{verb} while not holding")
-    if act.target is None:
-        raise _Refused(f"{verb} has no bound target")
     cid = _find(world, act.target)
     if world.objects[cid].kind != CONTAINER:
         raise _Refused(f"{verb} target {cid} is not a container")
@@ -297,11 +295,15 @@ def apply_primitive(
     """Execute one bound primitive.
 
     Returns (new world, None) on success or (unchanged world, reason) on a
-    precondition failure.
+    precondition failure. An empty slot is refused in the words of the
+    planner's contract, after place and tilt refuse an empty gripper.
     """
     p = act.primitive
     gripper = world.gripper
     try:
+        empty = unfilled(act)
+        if empty is not None and (gripper.holding is not None or not CONTRACTS[p].needs):
+            raise _Refused(empty)
         if p == ActionPrimitive.IDLE:
             changes = {}
 
@@ -320,8 +322,6 @@ def apply_primitive(
             changes = {"gripper": replace(gripper, x=dx, y=dy), "objects": objects}
 
         elif p == ActionPrimitive.PICK:
-            if act.primary is None:
-                raise _Refused("pick has no bound object")
             if gripper.holding is not None:
                 raise _Refused(f"pick while holding {gripper.holding}")
             oid = _find(world, act.primary)
@@ -342,8 +342,6 @@ def apply_primitive(
             changes = {"objects": objects, "gripper": gripper, "inside": inside}
 
         elif p == ActionPrimitive.PUSH:
-            if act.primary is None or act.target is None:
-                raise _Refused("push needs two bound objects")
             if gripper.holding is not None:
                 raise _Refused("push while holding")  # the gripper body does the pushing
             pid, tid = _find(world, act.primary), _find(world, act.target)
@@ -372,8 +370,6 @@ def apply_primitive(
             changes = {"poured": world.poured | {(held, tid)}, "gripper": gripper}
 
         elif p == ActionPrimitive.ROTATE:
-            if act.primary is None:
-                raise _Refused("rotate has no bound object")
             oid = _find(world, act.primary)
             obj = world.objects[oid] if gripper.holding == oid else _reach(world, oid, cfg)
             turned = obj.turned + cfg.cap_turn_angle
@@ -498,7 +494,7 @@ def _task_from_json(doc: object, name: str = "task") -> TaskSpec:
     doc = record(doc, name)
     kind = text(doc["kind"], f"{name} kind")
     if kind not in _TASK_KINDS:
-        raise ValueError(f"unknown task kind {kind!r}")
+        raise ValueError(f"{name} kind: unknown task kind {kind!r}")
     if not all(isinstance(doc.get(k), (str, type(None))) for k in ("object_class", "target_class")):
         raise ValueError(f"{name} object_class and target_class must be strings")
     bounds = {k: positive(doc[k], f"{name} {k}") for k in ("containment_radius", "separation") if doc.get(k) is not None}

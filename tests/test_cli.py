@@ -117,6 +117,26 @@ class TestPlan:
         assert code == 3
         assert "step 2" in capsys.readouterr().err
 
+    def test_out_file_holds_the_printed_plan(self, capsys, tmp_path):
+        out = tmp_path / "plan.json"
+        code = run_cli(
+            "plan",
+            "--labels", str(fixtures.labels_path("pick_place")),
+            "--masks", str(fixtures.masks_path("pick_place")),
+            "--out", str(out),
+        )
+        assert code == 0
+        assert out.read_bytes() == capsys.readouterr().out.encode("utf-8")
+
+    def test_validation_violation_exits_3(self, capsys, tmp_path):
+        labels = tmp_path / "labels.jsonl"
+        names = ["idle", "move", "pick", "move", "pick"]
+        labels.write_text("".join(json.dumps({"frame": i, "label": names[i // 30]}) + "\n" for i in range(30 * len(names))))
+        code = run_cli("plan", "--labels", str(labels), "--masks", str(fixtures.masks_path("pick_place")))
+        captured = capsys.readouterr()
+        assert code == 3 and captured.out == ""
+        assert captured.err == "demoplan: error: validation: step 4: pick while holding\n"
+
     def test_task_2_plan_validates(self, capsys, tmp_path):
         out = tmp_path / "plan2.json"
         code = run_cli(
@@ -253,6 +273,13 @@ class TestRun:
         assert len(lines) == 5
         assert all(l["outcome"] == "ok" for l in lines)
 
+    def test_unreached_goal_exits_1(self, capsys, tmp_path):
+        plan = tmp_path / "idle.json"
+        plan.write_text(json.dumps([{"primitive": "idle"}]))
+        code = run_cli("run", "--plan", str(plan), "--scenario", str(fixtures.scenario_path("pick_place")))
+        assert code == 1
+        assert capsys.readouterr().out == "FAILURE: task goal not reached\n"
+
     def test_scenario_class_mismatch_exits_4(self, capsys, pick_place_plan):
         code = run_cli(
             "run",
@@ -308,6 +335,14 @@ class TestRun:
         scenario.write_text(json.dumps({**doc, "task": task}))
         code = run_cli("run", "--plan", str(pick_place_plan), "--scenario", str(scenario))
         assert "unknown task kind 'juggle'" in assert_parse_error(code, capsys)
+
+    def test_unknown_part_kind_names_the_field(self, capsys, tmp_path, pick_place_plan):
+        doc = json.loads(fixtures.scenario_path("pick_place").read_text())
+        task = {"kind": "composite", "parts": [{"kind": "deliver", "object_class": "banana"}, {"kind": "juggle"}]}
+        scenario = tmp_path / "scenario.json"
+        scenario.write_text(json.dumps({**doc, "task": task}))
+        code = run_cli("run", "--plan", str(pick_place_plan), "--scenario", str(scenario))
+        assert "task part kind" in assert_parse_error(code, capsys)
 
 
     @pytest.mark.parametrize(
@@ -480,6 +515,14 @@ class TestCorpusStats:
         corpus.write_bytes(b"pick the apple\npush the \xff pear\n")
         err = assert_parse_error(run_cli("corpus", "stats", "--corpus", str(corpus)), capsys)
         assert "corpus line 2 " in err
+
+    def test_verbs_differing_only_in_case_exit_2_naming_both(self, tmp_path, capsys):
+        corpus, lexicon = tmp_path / "corpus.txt", tmp_path / "lexicon.json"
+        corpus.write_text("pick the apple\n")
+        lexicon.write_text(json.dumps({"verbs": {"Pick": "pick", "pick": "push"}, "objects": ["apple"]}))
+        code = run_cli("corpus", "stats", "--corpus", str(corpus), "--lexicon", str(lexicon))
+        err = assert_parse_error(code, capsys)
+        assert "'Pick'" in err and "'pick'" in err
 
     @pytest.mark.parametrize(
         "doc",

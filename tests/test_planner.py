@@ -218,6 +218,28 @@ class TestValidatePlan:
         assert any("push while holding" in v for v in validate_plan(plan))
 
 
+class TestUnfilledSlots:
+    """The exact violations of each step that leaves a slot empty or fills the wrong one."""
+
+    @pytest.mark.parametrize(
+        "steps, expected",
+        [
+            ((BoundAction(IDLE, primary=pose("apple")),), ["step 0: idle must not carry poses"]),
+            ((BoundAction(IDLE, target=pose("bowl")),), ["step 0: idle must not carry poses"]),
+            ((BoundAction(MOVE, primary=pose("apple")),), ["step 0: move carries a pose in the wrong slot"]),
+            ((BoundAction(PICK),), ["step 0: pick has no bound object"]),
+            ((BoundAction(ROTATE),), ["step 0: rotate has no bound object"]),
+            ((BoundAction(PICK, primary=pose("apple")), BoundAction(PLACE)), ["step 1: place has no bound target"]),
+            ((BoundAction(PICK, primary=pose("apple")), BoundAction(TILT)), ["step 1: tilt has no bound target"]),
+            ((BoundAction(PLACE),), ["step 0: place has no bound target", "step 0: place while not holding"]),
+            ((BoundAction(PUSH, target=pose("pear")),), ["step 0: push needs two bound objects"]),
+        ],
+        ids=["idle_primary", "idle_target", "move_primary", "pick", "rotate", "place", "tilt", "place_empty", "push"],
+    )
+    def test_violations(self, steps, expected):
+        assert validate_plan(BoundPlan(steps=steps)) == expected
+
+
 class TestPlanIO:
     def test_round_trip(self, model, cal, tmp_path):
         keys = keys_from_names(["idle", "move", "pick", "move", "place"])
