@@ -15,6 +15,7 @@ to 3, so each prints one line.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from pathlib import Path
@@ -116,7 +117,13 @@ def cmd_corpus(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The demoplan argument parser, built once per process.
+
+    Every call of main parses with this one shared parser, so callers must
+    not mutate it.
+    """
     parser = argparse.ArgumentParser(prog="demoplan", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 

@@ -8,8 +8,9 @@ and the class label. Theta is an axis, not a direction, so it lives in
 fruit) have no meaningful axis and are flagged degenerate with theta = 0.
 
 A mask is reduced at load to its exact integer moments n, Sx, Sy, Sxx, Syy
-and Sxy (Hu 1962): one pass of sums over a point list, a closed form per
-run-length row, never expanding a run into pixels. A mask whose moments do
+and Sxy (Hu 1962). A point list is decoded as an x column and a y column,
+which the duplicate check and the sums read directly; a run-length row has a
+closed form and is never expanded into pixels. A mask whose moments do
 not fit a float is a ValueError.
 
 A fixed overhead camera reduces calibration to a scale and an offset, which
@@ -20,8 +21,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import InitVar, dataclass, replace
-from itertools import chain
-from operator import mul
+from itertools import repeat
+from operator import add, itemgetter, mul
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -107,9 +108,6 @@ class Calibration:
             raise ValueError("calibration needs a finite positive scale and a finite origin")
 
 
-IDENTITY_CALIBRATION = Calibration(scale=1.0, origin=(0.0, 0.0))
-
-
 def centroid(mask: Mask) -> tuple[float, float]:
     """Arithmetic mean of the mask's pixel coordinates, each one correctly rounded sum / n."""
     n, sx, sy = mask.moments[:3]
@@ -169,16 +167,14 @@ def sense_scene(scene: DetectedScene, cal: Calibration) -> tuple[ObjectPose, ...
     return tuple(to_world(estimate_pose(m), cal) for m in scene.masks)
 
 
-def _int_rows(value: object, width: int, what: str) -> list[tuple[int, ...]]:
-    """A non-empty JSON list of rows of exactly `width` ints, as tuples."""
-    try:
-        rows = [tuple(row) for row in array(value, what, nonempty=True)]
-        typed = set(map(len, rows)) == {width} and set(map(type, chain.from_iterable(rows))) <= {int}
-    except TypeError:
-        typed = False
-    if not typed:
-        raise ValueError(f"{what} must be lists of {width} integers")
-    return rows
+def _int_columns(value: object, width: int, what: str) -> list[list[int]]:
+    """A non-empty JSON list of rows of exactly `width` ints, read as `width` int columns."""
+    rows = array(value, what, nonempty=True)
+    if set(map(type, rows)) == {list} and set(map(len, rows)) == {width}:
+        columns = [list(map(itemgetter(i), rows)) for i in range(width)]
+        if all({int}.issuperset(map(type, column)) for column in columns):  # a bool is not an int here
+            return columns
+    raise ValueError(f"{what} must be lists of {width} integers")
 
 
 def load_mask_file(path: str | Path) -> DetectedScene:
@@ -198,11 +194,12 @@ def load_mask_file(path: str | Path) -> DetectedScene:
         if ("points" in obj) == ("rle_rows" in obj):
             raise ValueError(f"{what} needs exactly one of 'points' and 'rle_rows'")
         if "points" in obj:
-            points = _int_rows(obj["points"], 2, f"{what} points")
-            unique = len(set(points)) == len(points)
-            moments = _point_moments(*zip(*points))
+            xs, ys = _int_columns(obj["points"], 2, f"{what} points")
+            span = max(ys) - min(ys) + 1  # x*span + y is one int per pixel, distinct for distinct pixels
+            unique = len(set(map(add, map(mul, xs, repeat(span)), ys))) == len(xs)
+            moments = _point_moments(xs, ys)
         else:
-            runs = sorted(_int_rows(obj["rle_rows"], 3, f"{what} rle_rows"))
+            runs = sorted(zip(*_int_columns(obj["rle_rows"], 3, f"{what} rle_rows")))
             if min(k for _, _, k in runs) < 1:
                 raise ValueError(f"{what} has an rle run length below 1")
             unique = all(y0 != y1 or x0 + k0 <= x1 for (y0, x0, k0), (y1, x1, _) in zip(runs, runs[1:]))

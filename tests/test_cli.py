@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from demoplan import fixtures
-from demoplan.cli import main
+from demoplan.cli import build_parser, main
 
 
 def run_cli(*argv):
@@ -95,6 +95,51 @@ class TestFilter:
         code = run_cli("filter", "--labels", str(fixtures.labels_path("pick_place")), "--window-width", "0")
         assert code == 2
         assert "window width" in capsys.readouterr().err
+
+
+class TestSharedParser:
+    """main parses every call with one parser built per process; no call sees another's arguments."""
+
+    @staticmethod
+    def captured(argv):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                code = main(argv)
+            except SystemExit as exc:
+                code = f"SystemExit({exc.code})"
+        return code, out.getvalue(), err.getvalue()
+
+    def test_the_parser_is_built_once(self):
+        assert build_parser() is build_parser()
+
+    def test_calls_in_one_process_print_what_each_prints_alone(self, tmp_path):
+        labels = tmp_path / "labels.jsonl"
+        frames = ["idle"] * 4 + ["pick"] * 3 + ["idle"] * 4
+        labels.write_text("".join(json.dumps({"frame": i, "label": l}) + "\n" for i, l in enumerate(frames)))
+        first_out = tmp_path / "first.json"
+        plan = ["plan", "--labels", str(fixtures.labels_path("pick_place"))]
+        plan += ["--masks", str(fixtures.masks_path("pick_place"))]
+        calls = [
+            [*plan, "--out", str(first_out)],
+            plan,
+            ["filter", "--labels", str(labels), "--window-width", "5"],
+            ["filter", "--window-width", "five"],  # argparse refuses it
+            ["filter", "--labels", str(labels)],
+        ]
+        alone = []
+        for argv in calls:
+            build_parser.cache_clear()
+            alone.append(self.captured(argv))
+        first_out.unlink()
+        build_parser.cache_clear()
+        shared = [self.captured(calls[0])]
+        first_out.unlink()
+        shared += [self.captured(argv) for argv in calls[1:]]
+        assert shared == alone
+        assert not first_out.exists()
+        assert alone[3][0] == "SystemExit(2)"
+        assert alone[2][1] == '["idle", "pick", "idle"]\n' and alone[4][1] == '["idle"]\n'
 
 
 class TestPlan:

@@ -5,6 +5,7 @@ import os
 import random
 import subprocess
 import sys
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -13,9 +14,9 @@ from hypothesis import assume, given, settings, strategies as st
 
 import demoplan
 from demoplan import fixtures
+from demoplan.jsondoc import array, load_json
 from demoplan.pose import (
     Calibration,
-    IDENTITY_CALIBRATION,
     Mask,
     ObjectPose,
     centroid,
@@ -151,7 +152,7 @@ class TestToWorld:
 
     def test_identity(self):
         pose = ObjectPose(12.0, 9.0, 0.3, "c")
-        assert to_world(pose, IDENTITY_CALIBRATION) == pose
+        assert to_world(pose, Calibration(scale=1.0)) == pose
 
     def test_pure_offset(self):
         cal = Calibration(scale=1.0, origin=(0.1, 0.2))
@@ -427,3 +428,119 @@ class TestMoments:
                 old_theta, old_degenerate = centred_fsum_angle(points)
                 assert degenerate == old_degenerate
                 assert angle_distance(theta, old_theta) <= 1e-12
+
+
+def tuple_set_zip_decode(value):
+    """The point decode before columns: a tuple per pixel, a set of them, then the sums."""
+    what = "object 0 (x)"
+    try:
+        rows = [tuple(row) for row in array(value, f"{what} points", nonempty=True)]
+        typed = set(map(len, rows)) == {2} and set(map(type, chain.from_iterable(rows))) <= {int}
+    except TypeError:
+        typed = False
+    if not typed:
+        raise ValueError(f"{what} points must be lists of 2 integers")
+    if len(set(rows)) != len(rows):
+        raise ValueError(f"{what} contains duplicate points")
+    return brute_moments(rows)
+
+
+BIG = 2**64
+COORDS = st.one_of(st.integers(-3, 3), st.integers(-(2**70), 2**70), st.sampled_from([BIG, BIG + 1, -BIG, 3 * BIG]))
+POINTS = st.lists(COORDS, min_size=2, max_size=2)
+BAD_ROWS = st.one_of(
+    st.booleans(),
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.text(min_size=2, max_size=2),
+    st.fixed_dictionaries({"x": COORDS, "y": COORDS}),
+    st.lists(POINTS, min_size=2, max_size=2),
+    st.lists(COORDS, min_size=1, max_size=1),
+    st.lists(COORDS, min_size=3, max_size=3),
+    st.tuples(st.booleans(), COORDS).map(list),
+    st.tuples(COORDS, st.floats(allow_nan=False, allow_infinity=False)).map(list),
+    st.none(),
+)
+
+
+@st.composite
+def point_lists(draw):
+    """Points with duplicates inserted next to or far from their original, sometimes one bad row."""
+    rows = draw(st.lists(POINTS, min_size=1, max_size=40))
+    for _ in range(draw(st.integers(0, 2))):
+        i = draw(st.integers(0, len(rows) - 1))
+        j = draw(st.sampled_from([i, i + 1, 0, len(rows)]))
+        rows.insert(j, list(rows[i]))
+    if draw(st.integers(0, 3)) == 0:
+        rows.insert(draw(st.integers(0, len(rows))), draw(BAD_ROWS))
+    return rows
+
+
+class TestPointColumns:
+    """load_mask_file decodes points as columns with the same moments and refusals as a tuple per pixel."""
+
+    CASES = {
+        "single": [[5, -7]],
+        "single_huge": [[BIG + 3, -(BIG * 5)]],
+        "one_row": [[0, 0], [1, 0], [2, 0]],
+        "one_column": [[4, 0], [4, 1], [4, 2]],
+        "anti_diagonal": [[0, 1], [1, 0]],
+        "span_corner": [[0, 3], [1, 0], [0, 0]],
+        "negative": [[-1, -1], [-2, 5], [3, -9]],
+        "above_2_64": [[BIG, BIG], [BIG + 1, BIG], [BIG, -BIG]],
+        "adjacent_duplicate": [[1, 2], [1, 2], [3, 4]],
+        "far_duplicate": [[1, 2], [0, 0], [5, 5], [7, 1], [1, 2]],
+        "huge_duplicate": [[BIG, -BIG], [0, 0], [BIG, -BIG]],
+        "bool_row": [[1, 2], True],
+        "bool_value": [[1, 2], [True, 2]],
+        "bool_values": [[False, True]],
+        "float_value": [[1, 2], [1.0, 3]],
+        "string_row": [[1, 2], "ab"],
+        "string_values": [["1", "2"]],
+        "object_row": [[1, 2], {"x": 1, "y": 2}],
+        "nested_row": [[[1, 2], [3, 4]]],
+        "short_row": [[1, 2], [3]],
+        "long_row": [[1, 2, 3], [4, 5]],
+        "null_row": [None],
+        "empty": [],
+        "not_a_list": {"x": 1},
+    }
+
+    @staticmethod
+    def outcomes(path):
+        def run(fn):
+            try:
+                return fn()
+            except ValueError as exc:
+                return str(exc)
+
+        value = load_json(path, "mask file")["objects"][0]["points"]
+        return run(lambda: load_mask_file(path).masks[0].moments), run(lambda: tuple_set_zip_decode(value))
+
+    def check(self, directory, points):
+        path = directory / "masks.json"
+        path.write_text(json.dumps({"objects": [{"class": "x", "points": points}]}))
+        new, old = self.outcomes(path)
+        assert new == old, points
+        return new
+
+    @pytest.mark.parametrize("name", CASES)
+    def test_cases_match_the_tuple_decode(self, tmp_path, name):
+        self.check(tmp_path, self.CASES[name])
+
+    def test_cases_cover_moments_and_both_refusals(self, tmp_path):
+        results = [self.check(tmp_path, points) for points in self.CASES.values()]
+        texts = {r.split(") ", 1)[-1] for r in results if isinstance(r, str)}
+        assert texts >= {"contains duplicate points", "points must be lists of 2 integers"}
+        assert sum(isinstance(r, tuple) for r in results) >= 7
+
+    @given(points=point_lists())
+    @settings(max_examples=300, deadline=None)
+    def test_generated_lists_match_the_tuple_decode(self, tmp_path_factory, points):
+        self.check(tmp_path_factory.mktemp("p"), points)
+
+    def test_seeded_dense_lists_match_the_tuple_decode(self, tmp_path):
+        for seed in range(200):
+            rng = random.Random(seed)
+            side = rng.randint(1, 6)
+            points = [[rng.randrange(side) - side // 2, rng.randrange(side)] for _ in range(rng.randint(1, 12))]
+            self.check(tmp_path, points)

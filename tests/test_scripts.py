@@ -1,4 +1,5 @@
 import importlib.util
+import json
 import subprocess
 import sys
 from pathlib import Path
@@ -44,3 +45,30 @@ class TestNoiseSweep:
         cells = rows[0].split("\t")
         assert cells[0] == "0.10" and len(cells) == 1 + len(fixtures.TASKS)
         assert all(0.0 <= float(c) <= 1.0 for c in cells[1:])
+
+
+class TestBenchRecord:
+    def test_writes_every_section_for_one_workload(self, tmp_path, capsys):
+        script = load_script("bench_record")
+        script.OUT_DIR = tmp_path
+        script.FRAMES, script.MASK_SCALE, script.STEPS, script.REPEATS = 300, 1, 40, 1
+        out = script.main(["--tag", "tiny", "--seconds", "0.2", "--workloads", "demo_files"])
+        assert out == tmp_path / "BENCH_tiny.json"
+        record = json.loads(out.read_text())
+        assert sorted(record) == ["environment", "scale_points", "settings", "tag", "workloads"]
+        assert sorted(record["environment"]) == ["commit", "cpu_count", "python"]
+        runs = record["workloads"]["demo_files"]
+        assert sorted(runs) == ["traced", "untraced"]
+        for run in runs.values():
+            assert run["correct"] and run["failed"] == 0
+            assert len(run["output_sha256"]) == 64
+        assert sorted(runs["untraced"]["metrics"]) == sorted(
+            ["setup_s", "ops_per_s", "op_ms_p50", "op_ms_p90", "peak_rss_mb", "task_success_rate"]
+        )
+        assert "pose.load_mask_file.ns_per_px" in runs["traced"]["metrics"]
+        scale = record["scale_points"]
+        assert sorted(scale) == ["labels", "masks", "plan"]
+        assert scale["labels"]["frames"] == 300 and scale["labels"]["filter_ns_per_frame"] > 0
+        for encoding in ("points", "rle_rows"):
+            assert scale["masks"][encoding]["px"] > 0 and scale["masks"][encoding]["load_ns_per_px"] > 0
+        assert scale["plan"]["steps"] == 40 and scale["plan"]["all_ok"] and scale["plan"]["run_us_per_step"] > 0
