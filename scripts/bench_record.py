@@ -140,7 +140,6 @@ def main(argv: list[str] | None = None) -> Path:
     parser = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
     parser.add_argument("--tag", required=True, help="the file written is BENCH_<tag>.json")
     parser.add_argument("--seconds", type=float, default=10.0, help="perfbench --seconds for each run")
-    parser.add_argument("--workloads", nargs="+", choices=WORKLOADS, default=list(WORKLOADS))
     args = parser.parse_args(argv)
     if not re.fullmatch(r"[\w.-]+", args.tag):
         parser.error("--tag may hold only letters, digits, '_', '.' and '-'")
@@ -151,7 +150,7 @@ def main(argv: list[str] | None = None) -> Path:
         "settings": {"seed": SEED, "seconds": args.seconds, "repeats": REPEATS},
         "workloads": {
             name: {"untraced": run_workload(name, args.seconds, 0), "traced": run_workload(name, args.seconds, 1)}
-            for name in args.workloads
+            for name in WORKLOADS
         },
     }
     with tempfile.TemporaryDirectory() as work:

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import InitVar, dataclass, replace
-from itertools import repeat
+from itertools import chain, repeat
 from operator import add, itemgetter, mul
 from pathlib import Path
 from typing import Iterable, Sequence
@@ -63,7 +63,7 @@ def _point_moments(xs: Sequence[int], ys: Sequence[int]) -> tuple[int, int, int,
     return len(xs), sum(xs), sum(ys), sum(map(mul, xs, xs)), sum(map(mul, ys, ys)), sum(map(mul, xs, ys))
 
 
-def _run_moments(runs: list[tuple[int, int, int]]) -> tuple[int, int, int, int, int, int]:
+def _run_moments(runs: list[list[int]]) -> tuple[int, int, int, int, int, int]:
     """Moments of row runs (y, x_start, k), each in closed form over x, x+1, ..., x+k-1."""
     n = sx = sy = sxx = syy = sxy = 0
     for y, x, k in runs:
@@ -167,13 +167,15 @@ def sense_scene(scene: DetectedScene, cal: Calibration) -> tuple[ObjectPose, ...
     return tuple(to_world(estimate_pose(m), cal) for m in scene.masks)
 
 
-def _int_columns(value: object, width: int, what: str) -> list[list[int]]:
-    """A non-empty JSON list of rows of exactly `width` ints, read as `width` int columns."""
+def _int_rows(value: object, width: int, what: str) -> list[list[int]]:
+    """A non-empty JSON list of rows, each a list of exactly `width` ints, returned as it is."""
     rows = array(value, what, nonempty=True)
-    if set(map(type, rows)) == {list} and set(map(len, rows)) == {width}:
-        columns = [list(map(itemgetter(i), rows)) for i in range(width)]
-        if all({int}.issuperset(map(type, column)) for column in columns):  # a bool is not an int here
-            return columns
+    if (
+        set(map(type, rows)) == {list}
+        and set(map(len, rows)) == {width}
+        and {int}.issuperset(map(type, chain.from_iterable(rows)))  # a bool is not an int here
+    ):
+        return rows
     raise ValueError(f"{what} must be lists of {width} integers")
 
 
@@ -194,12 +196,13 @@ def load_mask_file(path: str | Path) -> DetectedScene:
         if ("points" in obj) == ("rle_rows" in obj):
             raise ValueError(f"{what} needs exactly one of 'points' and 'rle_rows'")
         if "points" in obj:
-            xs, ys = _int_columns(obj["points"], 2, f"{what} points")
+            points = _int_rows(obj["points"], 2, f"{what} points")
+            xs, ys = list(map(itemgetter(0), points)), list(map(itemgetter(1), points))
             span = max(ys) - min(ys) + 1  # x*span + y is one int per pixel, distinct for distinct pixels
             unique = len(set(map(add, map(mul, xs, repeat(span)), ys))) == len(xs)
             moments = _point_moments(xs, ys)
         else:
-            runs = sorted(zip(*_int_columns(obj["rle_rows"], 3, f"{what} rle_rows")))
+            runs = sorted(_int_rows(obj["rle_rows"], 3, f"{what} rle_rows"))
             if min(k for _, _, k in runs) < 1:
                 raise ValueError(f"{what} has an rle run length below 1")
             unique = all(y0 != y1 or x0 + k0 <= x1 for (y0, x0, k0), (y1, x1, _) in zip(runs, runs[1:]))

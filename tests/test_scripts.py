@@ -51,8 +51,9 @@ class TestBenchRecord:
     def test_writes_every_section_for_one_workload(self, tmp_path, capsys):
         script = load_script("bench_record")
         script.OUT_DIR = tmp_path
+        script.WORKLOADS = ("demo_files",)
         script.FRAMES, script.MASK_SCALE, script.STEPS, script.REPEATS = 300, 1, 40, 1
-        out = script.main(["--tag", "tiny", "--seconds", "0.2", "--workloads", "demo_files"])
+        out = script.main(["--tag", "tiny", "--seconds", "0.2"])
         assert out == tmp_path / "BENCH_tiny.json"
         record = json.loads(out.read_text())
         assert sorted(record) == ["environment", "scale_points", "settings", "tag", "workloads"]
