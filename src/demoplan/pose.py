@@ -170,11 +170,8 @@ def sense_scene(scene: DetectedScene, cal: Calibration) -> tuple[ObjectPose, ...
 def _int_rows(value: object, width: int, what: str) -> list[list[int]]:
     """A non-empty JSON list of rows, each a list of exactly `width` ints, returned as it is."""
     rows = array(value, what, nonempty=True)
-    if (
-        set(map(type, rows)) == {list}
-        and set(map(len, rows)) == {width}
-        and {int}.issuperset(map(type, chain.from_iterable(rows)))  # a bool is not an int here
-    ):
+    typed = set(map(type, rows)) == {list} and set(map(len, rows)) == {width}
+    if typed and {int}.issuperset(map(type, chain.from_iterable(rows))):  # a bool is not an int here
         return rows
     raise ValueError(f"{what} must be lists of {width} integers")
 
