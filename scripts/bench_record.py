@@ -14,7 +14,10 @@ reported as a unit cost:
   plan    a seeded 10k-step plan over 24 objects, run and written as a JSONL
           trace (us/step)
 
-The inputs come from the generators in ``perfbench/inputs.py``. Example:
+The inputs come from the generators in ``perfbench/inputs.py``. A scale point
+is one reading, not a distribution: two files recorded at different times
+differ by host drift as much as by code, so compare commits with alternating
+perfbench runs, not with these points. Example:
 
     python scripts/bench_record.py --tag pr12 --seconds 10
 """
