@@ -24,11 +24,23 @@ from __future__ import annotations
 
 import json
 import math
+from functools import cache
 from pathlib import Path
 
 from .actions import ActionPrimitive
 
 _KINDS = ((bool, "a boolean"), (str, "a string"), (list, "a list"), (dict, "an object"), (type(None), "null"))
+
+
+@cache
+def _fields(document: str) -> type[dict]:
+    """The dict class, made once per document name, whose lookup of an absent field raises ValueError."""
+
+    class Fields(dict):
+        def __missing__(self, key):
+            raise ValueError(f"{document} is missing field {key!r}")
+
+    return Fields
 
 
 def load_json(path: str | Path, document: str):
@@ -37,14 +49,9 @@ def load_json(path: str | Path, document: str):
     Text that is not JSON, nests too deeply or holds an int too long to
     convert is one ValueError naming the document.
     """
-
-    class Fields(dict):
-        def __missing__(self, key):
-            raise ValueError(f"{document} is missing field {key!r}")
-
     with open(path, "r", encoding="utf-8") as fh:
         try:
-            return json.load(fh, object_hook=Fields)
+            return json.load(fh, object_hook=_fields(document))
         except RecursionError:
             raise ValueError(f"{document} is nested too deeply") from None
         except ValueError as exc:

@@ -38,7 +38,8 @@ class Mask:
 
     ``moments`` is (n, Sx, Sy, Sxx, Syy, Sxy) over the coordinates times
     ``scale``, a power of two that makes every coordinate an int, so each sum
-    is exact. ``Mask(class_name, points)`` computes them from a point cloud.
+    is exact. ``Mask(class_name, points)`` computes them from a point cloud,
+    and refuses with ValueError any point that is not an (x, y) pair.
     """
 
     class_name: str
@@ -48,6 +49,10 @@ class Mask:
 
     def __post_init__(self, points) -> None:
         if points is not None:
+            points = list(points)
+            for p in points:
+                if not isinstance(p, (tuple, list)) or len(p) != 2:
+                    raise ValueError(f"mask point {p!r} is not an (x, y) pair")
             values, scale = [v for p in points for v in p], 1  # x0, y0, x1, y1, ...
             if any(type(v) is not int for v in values):  # onto one power-of-two grid
                 ratios = [float(v).as_integer_ratio() for v in values]

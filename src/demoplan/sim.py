@@ -113,7 +113,10 @@ class WorldState:
     objects and inside are read-only views over copies taken at construction,
     so neither a later edit of the caller's dicts nor a write through the
     views can change a state. Its digest is therefore computed once per
-    instance and cached; replace() builds a new instance, which hashes anew.
+    instance and cached, as are its encoded fragments: inside, poured, the
+    objects (joined from each object's cached entry) and the frame of height,
+    width and zone. replace() builds a state with empty caches; successor(),
+    which apply_primitive uses, hands on each fragment whose fields it keeps.
     """
 
     width: float
@@ -130,28 +133,49 @@ class WorldState:
         object.__setattr__(self, "inside", _private(self.inside))
         object.__setattr__(self, "poured", frozenset(self.poured))
 
+    def successor(self, **changes) -> WorldState:
+        """replace(self, **changes), keeping each cached fragment whose fields changes leaves as they are.
+
+        A field is left as it is only by the same object (is): -0.0 == 0.0, but the two encode differently.
+        """
+        nxt = replace(self, **changes)
+        stale = {_FRAGMENT.get(f) for f, value in changes.items() if value is not getattr(self, f)}
+        for name in set(_FRAGMENT.values()) - stale:
+            if name in self.__dict__:
+                nxt.__dict__[name] = self.__dict__[name]
+        return nxt
+
+    @cached_property
+    def _inside(self) -> str:
+        return json.dumps(dict(sorted(self.inside.items())))
+
+    @cached_property
+    def _poured(self) -> str:
+        return json.dumps(sorted(self.poured))
+
+    @cached_property
+    def _objects(self) -> str:
+        return ", ".join(f"{_quote(oid)}: {o._entry}" for oid, o in sorted(self.objects.items()))
+
+    @cached_property
+    def _frame(self) -> tuple[str, str, str]:
+        z = self.zone
+        return tuple(map(json.dumps, (self.height, self.width, None if z is None else [z.x, z.y, z.radius])))
+
     @cached_property
     def _digest(self) -> str:
-        """The sha256 hex of this state's digest payload (see digest), hashed once per instance."""
-        g, z = self.gripper, self.zone
-        head = json.dumps(
-            {
-                "clock": self.clock,
-                "gripper": [g.x, g.y, g.holding, g.closed],
-                "height": self.height,
-                "inside": dict(sorted(self.inside.items())),
-            }
+        """The sha256 hex of the digest payload (see digest); only clock and gripper are encoded anew here."""
+        g, (height, width, zone) = self.gripper, self._frame
+        head = json.dumps({"clock": self.clock, "gripper": [g.x, g.y, g.holding, g.closed]})
+        payload = (
+            f'{head[:-1]}, "height": {height}, "inside": {self._inside}, "objects": {{{self._objects}}}, '
+            f'"poured": {self._poured}, "width": {width}, "zone": {zone}}}'
         )
-        tail = json.dumps(
-            {
-                "poured": sorted(self.poured),
-                "width": self.width,
-                "zone": None if z is None else [z.x, z.y, z.radius],
-            }
-        )
-        objects = ", ".join(f"{_quote(oid)}: {o._entry}" for oid, o in sorted(self.objects.items()))
-        payload = f'{head[:-1]}, "objects": {{{objects}}}, {tail[1:]}'
         return hashlib.sha256(payload.encode("utf-8")).hexdigest()
+
+
+# each WorldState field that a cached digest fragment encodes, and that fragment
+_FRAGMENT = dict(inside="_inside", poured="_poured", objects="_objects", height="_frame", width="_frame", zone="_frame")
 
 
 @dataclass(frozen=True)
@@ -198,9 +222,10 @@ def digest(world: WorldState) -> str:
     The payload is json.dumps(doc, sort_keys=True) of the document
     {"clock", "gripper", "height", "inside", "objects", "poured", "width",
     "zone"}, with each object as [class, x, y, theta, radius, kind, turned,
-    opened] under its id. The keys are written in sorted order, and the
-    objects are spliced in from their cached entries. A state is hashed the
-    first time its digest is asked for; every later call returns that value.
+    opened] under its id. The keys are written in sorted order. Only clock
+    and gripper are encoded for each state; the rest is spliced in from the
+    fragments a state caches or inherits (see WorldState). A state is hashed
+    the first time its digest is asked for; every later call returns it.
     """
     return world._digest
 
@@ -326,8 +351,7 @@ def apply_primitive(
                 raise _Refused(f"pick while holding {gripper.holding}")
             oid = _find(world, act.primary)
             obj = _reach(world, oid, cfg)
-            inside = world.inside.copy()
-            inside.pop(oid, None)
+            inside = {k: c for k, c in world.inside.items() if k != oid} if oid in world.inside else world.inside
             changes = {"gripper": replace(gripper, x=obj.x, y=obj.y, holding=oid, closed=True), "inside": inside}
 
         elif p == ActionPrimitive.PLACE:
@@ -386,7 +410,7 @@ def apply_primitive(
             raise ValueError(f"unknown primitive {p!r}")
     except _Refused as refused:
         return world, str(refused)
-    return replace(world, clock=world.clock + 1, **changes), None
+    return world.successor(clock=world.clock + 1, **changes), None
 
 
 def run_plan(

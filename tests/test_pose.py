@@ -87,6 +87,11 @@ class TestCentroid:
         with pytest.raises(ValueError):
             Mask(class_name="x", points=())
 
+    @pytest.mark.parametrize("points", [[(1, 2, 3), (4, 5, 6)], [(1, 2), (3,)], [(1, 2), 3], [(1, 2), (3, 4, 5)]])
+    def test_point_that_is_not_a_pair_rejected(self, points):
+        with pytest.raises(ValueError, match="is not an"):
+            Mask(class_name="x", points=points)
+
 
 class TestPrincipalAngle:
     def test_horizontal_line(self):

@@ -2,6 +2,7 @@ import hashlib
 import json
 import math
 import random
+from collections import Counter
 from dataclasses import replace
 
 import pytest
@@ -568,3 +569,79 @@ class TestDigestEncoding:
         )
         for world in (empty, zoned, full):
             assert digest(world) == plain_digest(world)
+
+
+def crowded_world(rng):
+    """24 objects, a third of them containers, in a 0.9 m square with a delivery zone."""
+    objects = {}
+    for i in range(24):
+        cls, kind = ("box", CONTAINER) if i % 3 == 0 else rng.choice([("apple", "item"), ("bottle", "bottle")])
+        objects[f"{cls}-{i}"] = obj(cls, rng.uniform(0.05, 0.85), rng.uniform(0.05, 0.85), kind=kind)
+    return world_with(objects, zone=DeliveryZone(0.8, 0.8, 0.08))
+
+
+def aimed_action(rng, world):
+    """A step aimed at real objects: its primary is a random object, its target a random container."""
+    objects = sorted(world.objects)
+    primary, target = (pose_at(world, rng.choice(objects)) for _ in range(2))
+    containers = [oid for oid in objects if world.objects[oid].kind == CONTAINER]
+    if rng.random() < 0.9:
+        target = pose_at(world, rng.choice(containers))
+    p = rng.choice([PICK, PICK, PICK, PLACE, PLACE, TILT, TILT, MOVE, PUSH, ROTATE, IDLE])
+    if p in (PLACE, TILT):
+        return BoundAction(p, target=target)
+    if p == MOVE:
+        dest = ObjectPose(x=rng.uniform(0.0, 0.9), y=rng.uniform(0.0, 0.9), theta=0.0, class_name="spot")
+        return BoundAction(p, primary=None if rng.random() < 0.2 else dest)
+    return BoundAction(p, primary=primary, target=target)
+
+
+class TestFragmentHandoff:
+    """apply_primitive hands each digest fragment whose fields a step left as they were to the next state."""
+
+    FRAGMENTS = ("_objects", "_inside", "_poured", "_frame")
+
+    def test_fuzzed_chains_of_24_objects(self):
+        rng = random.Random(11)
+        cfg = SimConfig(reach=2.0)  # everything is in reach, so most picks, places and tilts succeed
+        changed, handed = Counter(), Counter()
+        for _ in range(10):
+            world = crowded_world(rng)
+            digest(world)
+            for _ in range(200):
+                nxt, reason = apply_primitive(world, aimed_action(rng, world), cfg)
+                if reason is None:
+                    changed.update(f for f in ("objects", "inside", "poured") if getattr(nxt, f) != getattr(world, f))
+                    handed.update(name for name in self.FRAGMENTS if name in vars(nxt))
+                    world = nxt
+                assert digest(world) == plain_digest(world) == digest(replace(world))
+        assert all(changed[f] > 100 for f in ("objects", "inside", "poured")), changed
+        assert all(handed[name] > 100 for name in self.FRAGMENTS), handed
+
+    def test_an_equal_object_that_encodes_differently_is_encoded_anew(self):
+        apple = obj("apple", 0.0, 0.5)
+        world = world_with({"apple-0": apple}, gripper=(0.0, 0.5))
+        world = replace(world, gripper=Gripper(x=0.0, y=0.5, holding="apple-0", closed=True))
+        digest(world)
+        to = ObjectPose(x=-0.0, y=0.5, theta=0.0, class_name="apple")
+        nxt, reason = apply_primitive(world, BoundAction(MOVE, primary=to), CFG)
+        assert reason is None
+        assert nxt.objects == world.objects and nxt.objects["apple-0"] is not apple
+        assert digest(nxt) == plain_digest(nxt)
+        assert '"apple-0": ["apple", -0.0' in nxt._objects
+
+    def test_each_frame_field_is_encoded_anew_when_replaced(self):
+        world = replace(world_with({}), width=1, height=1)
+        digest(world)
+        zone = DeliveryZone(0.5, 0.5, 0.1)
+        for change in ({"width": 1.0}, {"height": 1.0}, {"zone": zone}, {"zone": None}, {"clock": 3}):
+            nxt = world.successor(**change)
+            assert digest(nxt) == plain_digest(nxt) == digest(replace(nxt))
+        assert digest(world.successor(width=1.0)) != digest(world)  # 1 == 1.0, but the two encode differently
+
+    def test_a_pick_from_nowhere_hands_on_the_inside_mapping(self):
+        world = world_with({"apple-0": obj("apple", 0.05, 0.05), "box-1": obj("box", 0.5, 0.5, kind=CONTAINER)})
+        world = replace(world, objects={**world.objects, "apple-2": obj("apple", 0.5, 0.5)}, inside={"apple-2": "box-1"})
+        digest(world)
+        nxt, reason = apply_primitive(world, BoundAction(PICK, primary=pose_at(world, "apple-0")), CFG)
+        assert reason is None and nxt._inside is world._inside
