@@ -134,15 +134,15 @@ class WorldState:
         object.__setattr__(self, "poured", frozenset(self.poured))
 
     def successor(self, **changes) -> WorldState:
-        """replace(self, **changes), keeping each cached fragment whose fields changes leaves as they are.
+        """replace(self, **changes), keeping each cached fragment whose fields changes leaves unchanged.
 
-        A field is left as it is only by the same object (is): -0.0 == 0.0, but the two encode differently.
+        A field is unchanged only as the same object (is, not ==): -0.0 == 0.0, but the two encode differently.
         """
-        nxt = replace(self, **changes)
+        nxt, cache = replace(self, **changes), self.__dict__
         stale = {_FRAGMENT.get(f) for f, value in changes.items() if value is not getattr(self, f)}
-        for name in set(_FRAGMENT.values()) - stale:
-            if name in self.__dict__:
-                nxt.__dict__[name] = self.__dict__[name]
+        for name in _FRAGMENTS - stale:
+            if name in cache:
+                nxt.__dict__[name] = cache[name]
         return nxt
 
     @cached_property
@@ -176,6 +176,7 @@ class WorldState:
 
 # each WorldState field that a cached digest fragment encodes, and that fragment
 _FRAGMENT = dict(inside="_inside", poured="_poured", objects="_objects", height="_frame", width="_frame", zone="_frame")
+_FRAGMENTS = frozenset(_FRAGMENT.values())
 
 
 @dataclass(frozen=True)

@@ -640,8 +640,8 @@ class TestFragmentHandoff:
         assert digest(world.successor(width=1.0)) != digest(world)  # 1 == 1.0, but the two encode differently
 
     def test_a_pick_from_nowhere_hands_on_the_inside_mapping(self):
-        world = world_with({"apple-0": obj("apple", 0.05, 0.05), "box-1": obj("box", 0.5, 0.5, kind=CONTAINER)})
-        world = replace(world, objects={**world.objects, "apple-2": obj("apple", 0.5, 0.5)}, inside={"apple-2": "box-1"})
+        objects = {"apple-0": obj("apple", 0.05, 0.05), "box-1": obj("box", 0.5, 0.5, kind=CONTAINER)}
+        world = replace(world_with({**objects, "apple-2": obj("apple", 0.5, 0.5)}), inside={"apple-2": "box-1"})
         digest(world)
         nxt, reason = apply_primitive(world, BoundAction(PICK, primary=pose_at(world, "apple-0")), CFG)
         assert reason is None and nxt._inside is world._inside
