@@ -620,8 +620,7 @@ class TestFragmentHandoff:
 
     def test_an_equal_object_that_encodes_differently_is_encoded_anew(self):
         apple = obj("apple", 0.0, 0.5)
-        world = world_with({"apple-0": apple}, gripper=(0.0, 0.5))
-        world = replace(world, gripper=Gripper(x=0.0, y=0.5, holding="apple-0", closed=True))
+        world = replace(world_with({"apple-0": apple}), gripper=Gripper(x=0.0, y=0.5, holding="apple-0", closed=True))
         digest(world)
         to = ObjectPose(x=-0.0, y=0.5, theta=0.0, class_name="apple")
         nxt, reason = apply_primitive(world, BoundAction(MOVE, primary=to), CFG)
