@@ -110,13 +110,14 @@ def _private(items: Mapping) -> MappingProxyType:
 class WorldState:
     """One immutable world state.
 
-    objects and inside are read-only views over copies taken at construction,
-    so neither a later edit of the caller's dicts nor a write through the
-    views can change a state. Its digest is therefore computed once per
-    instance and cached, as are its encoded fragments: inside, poured, the
-    objects (joined from each object's cached entry) and the frame of height,
-    width and zone. replace() builds a state with empty caches; successor(),
-    which apply_primitive uses, hands on each fragment whose fields it keeps.
+    WorldState(...) and replace() copy objects and inside into new read-only
+    views and poured into a frozenset, so neither a later edit of the caller's
+    dicts nor a write through the views can change a state. Its digest is
+    therefore computed once per instance and cached, as are its encoded
+    fragments: inside, poured, the objects (joined from each object's cached
+    entry) and the frame of height, width and zone. Both build a state with
+    empty caches. successor(), which apply_primitive uses, copies only what a
+    step passes anew and hands on every other field and fragment as it is.
     """
 
     width: float
@@ -129,20 +130,28 @@ class WorldState:
     clock: int = 0
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "objects", _private(self.objects))
-        object.__setattr__(self, "inside", _private(self.inside))
-        object.__setattr__(self, "poured", frozenset(self.poured))
+        for f, view in _VIEW.items():
+            object.__setattr__(self, f, view(getattr(self, f)))
 
     def successor(self, **changes) -> WorldState:
-        """replace(self, **changes), keeping each cached fragment whose fields changes leaves unchanged.
+        """The state replace(self, **changes) would build, without its copies.
 
-        A field is unchanged only as the same object (is, not ==): -0.0 == 0.0, but the two encode differently.
+        A field that changes passes as a new object is taken as replace()
+        takes it: objects and inside into new read-only views over copies,
+        poured into a frozenset. Every other field stays this state's own
+        object, the objects and inside views included, and so does each cached
+        fragment none of whose fields changed. A field is unchanged only as the
+        same object (is, not ==): -0.0 == 0.0, but the two encode differently.
         """
-        nxt, cache = replace(self, **changes), self.__dict__
-        stale = {_FRAGMENT.get(f) for f, value in changes.items() if value is not getattr(self, f)}
-        for name in _FRAGMENTS - stale:
-            if name in cache:
-                nxt.__dict__[name] = cache[name]
+        state = self.__dict__.copy()  # the fields and the cached fragments; _digest is never handed on
+        state.pop("_digest", None)
+        for f, value in changes.items():
+            if value is not state[f]:
+                view = _VIEW.get(f)
+                state[f] = value if view is None else view(value)
+                state.pop(_FRAGMENT.get(f), None)
+        nxt = object.__new__(WorldState)
+        vars(nxt).update(state)
         return nxt
 
     @cached_property
@@ -176,7 +185,8 @@ class WorldState:
 
 # each WorldState field that a cached digest fragment encodes, and that fragment
 _FRAGMENT = dict(inside="_inside", poured="_poured", objects="_objects", height="_frame", width="_frame", zone="_frame")
-_FRAGMENTS = frozenset(_FRAGMENT.values())
+# the copy a state takes of each field it is given anew
+_VIEW = dict(objects=_private, inside=_private, poured=frozenset)
 
 
 @dataclass(frozen=True)
@@ -276,30 +286,39 @@ def _contents(world: WorldState, container_id: str) -> set[str]:
     return out
 
 
-def _translate_group(world: WorldState, ids: Iterable[str], dx: float, dy: float) -> dict[str, SimObject]:
-    objects = world.objects.copy()
-    for oid in ids:
-        obj = objects[oid]
-        objects[oid] = replace(obj, x=obj.x + dx, y=obj.y + dy)
-    return objects
+def _same(a: float, b: float) -> bool:
+    """a and b encode alike: the same type and value, and the same sign of zero."""
+    return type(a) is type(b) and a == b and math.copysign(1.0, a) == math.copysign(1.0, b)
 
 
-def _in_bounds(world: WorldState, objects: Mapping[str, SimObject]) -> bool:
-    return all(0.0 <= o.x <= world.width and 0.0 <= o.y <= world.height for o in objects.values())
-
-
-def _carry(world: WorldState, x: float, y: float, verb: str) -> Mapping[str, SimObject]:
-    """Objects after the held object, with its contents, moves to (x, y)."""
+def _shift(world: WorldState, ids: Iterable[str], dx: float, dy: float) -> dict[str, tuple[float, float]]:
     objects = world.objects
+    return {oid: (objects[oid].x + dx, objects[oid].y + dy) for oid in ids}
+
+
+def _moved(world: WorldState, group: dict[str, tuple[float, float]], refusal: str) -> Mapping[str, SimObject]:
+    """Objects with each of the group at its new (x, y); world.objects itself when none would encode differently.
+
+    Only the group is bounds-checked: every other object is in the workspace already.
+    """
+    objects = world.objects
+    if all(_same(objects[oid].x, x) and _same(objects[oid].y, y) for oid, (x, y) in group.items()):
+        return objects
+    if not all(0.0 <= x <= world.width and 0.0 <= y <= world.height for x, y in group.values()):
+        raise _Refused(refusal)
+    out = objects.copy()
+    for oid, (x, y) in group.items():
+        out[oid] = replace(objects[oid], x=x, y=y)
+    return out
+
+
+def _carry(world: WorldState, contents: Iterable[str], x: float, y: float, verb: str) -> Mapping[str, SimObject]:
+    """Objects after the held object, with its contents, moves to (x, y)."""
     held = world.gripper.holding
-    if held is not None:
-        start = world.objects[held]
-        objects = _translate_group(world, _contents(world, held), x - start.x, y - start.y)
-        # the held object lands on the gripper exactly, not within an ulp
-        objects[held] = replace(objects[held], x=x, y=y)
-    if not _in_bounds(world, objects):
-        raise _Refused(f"{verb} would push an object out of the workspace")
-    return objects
+    start = world.objects[held]
+    group = _shift(world, contents, x - start.x, y - start.y)
+    group[held] = (x, y)  # the held object lands on the gripper exactly, not within an ulp
+    return _moved(world, group, f"{verb} would push an object out of the workspace")
 
 
 def _container(world: WorldState, act: BoundAction, verb: str, into: str) -> tuple[str, str]:
@@ -341,9 +360,10 @@ def apply_primitive(
                 dx, dy = world.zone.x, world.zone.y
             else:
                 raise _Refused("move has no destination and the world has no delivery zone")
-            objects = _carry(world, dx, dy, "move")
+            held = gripper.holding
+            objects = world.objects if held is None else _carry(world, _contents(world, held), dx, dy, "move")
             handover = world.zone is not None and _dist(dx, dy, world.zone.x, world.zone.y) <= world.zone.radius
-            if handover and gripper.holding is not None:
+            if handover and held is not None:
                 gripper = replace(gripper, holding=None, closed=False)
             changes = {"gripper": replace(gripper, x=dx, y=dy), "objects": objects}
 
@@ -357,10 +377,11 @@ def apply_primitive(
 
         elif p == ActionPrimitive.PLACE:
             held, cid = _container(world, act, "place", "place")
-            if cid in _contents(world, held):
+            contents = _contents(world, held)
+            if cid in contents:
                 raise _Refused(f"cannot place {held} into {cid}, which is inside it")
             container = world.objects[cid]
-            objects = _carry(world, container.x, container.y, "place")
+            objects = _carry(world, contents, container.x, container.y, "place")
             inside = world.inside.copy()
             inside[held] = cid
             gripper = replace(gripper, x=container.x, y=container.y, holding=None, closed=False)
@@ -382,9 +403,7 @@ def apply_primitive(
                 ux, uy = (to.x - po.x) / d, (to.y - po.y) / d
                 nx, ny = to.x - cfg.contact * ux, to.y - cfg.contact * uy
                 group = {pid} | (_contents(world, pid) if po.kind == CONTAINER else set())
-                objects = _translate_group(world, group, nx - po.x, ny - po.y)
-                if not _in_bounds(world, objects):
-                    raise _Refused("push would leave the workspace")
+                objects = _moved(world, _shift(world, group, nx - po.x, ny - po.y), "push would leave the workspace")
                 changes = {"objects": objects, "gripper": replace(gripper, x=nx, y=ny)}
 
         elif p == ActionPrimitive.TILT:
@@ -584,20 +603,15 @@ def load_scenario(path: str | Path) -> tuple[WorldState, TaskSpec, SimConfig]:
 
 
 def trace_to_jsonl(trace: ExecutionTrace) -> str:
-    """One JSON object per executed step."""
-    lines = []
-    for step in trace.steps:
-        lines.append(
-            json.dumps(
-                {
-                    "step": step.index,
-                    "action": bound_action_to_json(step.action),
-                    "pre": step.pre_digest,
-                    "post": step.post_digest,
-                    "outcome": step.outcome,
-                    "reason": step.reason,
-                },
-                sort_keys=True,
-            )
-        )
-    return "\n".join(lines) + ("\n" if lines else "")
+    """One JSON object per executed step.
+
+    Each line is the text json.dumps(line, sort_keys=True) gives for the line
+    {"action", "outcome", "post", "pre", "reason", "step"}, spliced in that
+    key order from its values, each encoded as json would encode it.
+    """
+    return "".join(
+        f'{{"action": {json.dumps(bound_action_to_json(s.action), sort_keys=True)}, "outcome": {_quote(s.outcome)}, '
+        f'"post": {_quote(s.post_digest)}, "pre": {_quote(s.pre_digest)}, "reason": {json.dumps(s.reason)}, '
+        f'"step": {s.index}}}\n'
+        for s in trace.steps
+    )

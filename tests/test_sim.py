@@ -11,7 +11,7 @@ from worldgen import random_action, random_world
 from demoplan import fixtures, sim
 from demoplan.actions import ActionPrimitive, keys_from_names
 from demoplan.knowledge import build_model, load_corpus, load_lexicon
-from demoplan.planner import BoundAction, BoundPlan, bind_plan
+from demoplan.planner import LOW_CONFIDENCE, BoundAction, BoundPlan, bind_plan, bound_action_to_json
 from demoplan.pose import ObjectPose, load_calibration, load_mask_file, sense_scene
 from demoplan.sim import (
     CONTAINER,
@@ -21,6 +21,7 @@ from demoplan.sim import (
     SimConfig,
     SimObject,
     TaskSpec,
+    TraceStep,
     WorldState,
     apply_primitive,
     check_invariants,
@@ -434,6 +435,27 @@ class TestReadOnlyState:
         assert dict(w.inside) == {"apple-0": "box-0"}
         assert digest(w) == before == plain_digest(w)
 
+    def test_a_successor_copies_what_it_is_given_and_hands_on_read_only_views(self):
+        w = world_with({"apple-0": obj("apple", 0.1, 0.2), "box-1": obj("box", 0.5, 0.5, kind=CONTAINER)})
+        objects, inside, poured = {**w.objects, "apple-0": obj("apple", 0.3, 0.4)}, {"apple-0": "box-1"}, {("apple-0", "box-1")}
+        nxt = w.successor(objects=objects, inside=inside, poured=poured)
+        before = digest(nxt)
+        objects["apple-0"] = obj("apple", 0.6, 0.6)
+        objects["grape-2"] = obj("grape", 0.5, 0.5)
+        inside.clear()
+        poured.add(("box-1", "apple-0"))
+        assert dict(nxt.objects) == {"apple-0": obj("apple", 0.3, 0.4), "box-1": obj("box", 0.5, 0.5, kind=CONTAINER)}
+        assert dict(nxt.inside) == {"apple-0": "box-1"} and nxt.poured == {("apple-0", "box-1")}
+        assert digest(nxt) == before == plain_digest(nxt)
+        later = nxt.successor(clock=1)
+        assert later.objects is nxt.objects and later.inside is nxt.inside and later.poured is nxt.poured
+        for mapping in (later.objects, later.inside):
+            with pytest.raises(TypeError):
+                mapping["apple-0"] = mapping["apple-0"]
+            with pytest.raises(TypeError):
+                del mapping["apple-0"]
+        assert digest(later) == plain_digest(later)
+
 
 class TestCheckInvariants:
     def test_each_broken_invariant_is_named(self):
@@ -571,6 +593,49 @@ class TestDigestEncoding:
             assert digest(world) == plain_digest(world)
 
 
+def plain_trace(trace):
+    """The trace as json.dumps writes each step's whole line in one go."""
+    return "".join(
+        json.dumps(
+            {
+                "step": s.index,
+                "action": bound_action_to_json(s.action),
+                "pre": s.pre_digest,
+                "post": s.post_digest,
+                "outcome": s.outcome,
+                "reason": s.reason,
+            },
+            sort_keys=True,
+        )
+        + "\n"
+        for s in trace.steps
+    )
+
+
+class TestTraceEncoding:
+    """trace_to_jsonl splices each line from encoded parts; it must write the plain encoding's text."""
+
+    def test_fuzzed_traces_with_quotes_non_ascii_and_low_confidence(self):
+        odd = world_with({'a"b\\c': obj('cl"ass', 0.1, 0.2), "箱-1": obj("箱", 0.5, 0.6, kind=CONTAINER)})
+        rng = random.Random(3)
+        steps, world = [], odd
+        for i in range(600):
+            if i % 30 == 0:
+                world = odd if i % 60 == 0 else random_world(rng)
+            act = random_action(rng, world)
+            if rng.random() < 0.3:
+                act = replace(act, confidence=LOW_CONFIDENCE)
+            nxt, reason = apply_primitive(world, act, CFG)
+            steps.append(TraceStep(i, act, digest(world), digest(nxt), "ok" if reason is None else "failed", reason))
+            world = nxt
+        trace = ExecutionTrace(tuple(steps))
+        assert trace_to_jsonl(trace).splitlines() == plain_trace(trace).splitlines()
+        assert trace_to_jsonl(trace) == plain_trace(trace)
+        reasons = [s.reason for s in steps]
+        assert None in reasons and any('a"b\\c' in r for r in reasons if r) and any("箱-1" in r for r in reasons if r)
+        assert trace_to_jsonl(ExecutionTrace(())) == ""
+
+
 def crowded_world(rng):
     """24 objects, a third of them containers, in a 0.9 m square with a delivery zone."""
     objects = {}
@@ -610,6 +675,8 @@ class TestFragmentHandoff:
             digest(world)
             for _ in range(200):
                 nxt, reason = apply_primitive(world, aimed_action(rng, world), cfg)
+                if nxt.objects is world.objects:
+                    assert vars(nxt)["_objects"] is vars(world)["_objects"]
                 if reason is None:
                     changed.update(f for f in ("objects", "inside", "poured") if getattr(nxt, f) != getattr(world, f))
                     handed.update(name for name in self.FRAGMENTS if name in vars(nxt))
@@ -644,3 +711,36 @@ class TestFragmentHandoff:
         digest(world)
         nxt, reason = apply_primitive(world, BoundAction(PICK, primary=pose_at(world, "apple-0")), CFG)
         assert reason is None and nxt._inside is world._inside
+
+    def test_a_place_where_the_held_object_already_is_hands_on_the_objects(self):
+        objects = {"apple-0": obj("apple", 0.1, 0.1), "box-1": obj("box", 0.5, 0.5, kind=CONTAINER)}
+        world = replace(world_with(objects), gripper=Gripper(x=0.1, y=0.1, holding="apple-0", closed=True))
+        world, reason = apply_primitive(world, BoundAction(MOVE, primary=pose_at(world, "box-1")), CFG)
+        assert reason is None and world.objects["apple-0"] != objects["apple-0"]
+        digest(world)
+        nxt, reason = apply_primitive(world, BoundAction(PLACE, target=pose_at(world, "box-1")), CFG)
+        assert reason is None and dict(nxt.inside) == {"apple-0": "box-1"}
+        assert nxt.objects is world.objects and vars(nxt)["_objects"] is vars(world)["_objects"]
+        assert digest(nxt) == plain_digest(nxt)
+
+    def test_an_unmoved_group_that_would_encode_differently_is_rebuilt(self):
+        box, apple = obj("box", 0.5, 0.5, kind=CONTAINER), obj("apple", -0.0, 0.5)
+        world = WorldState(
+            width=0.9,
+            height=0.9,
+            objects={"box-0": box, "apple-1": apple},
+            gripper=Gripper(x=0.5, y=0.5, holding="box-0", closed=True),
+            inside={"apple-1": "box-0"},
+        )
+        digest(world)
+        # the box stays bit for bit, but -0.0 + 0.0 is 0.0
+        nxt, reason = apply_primitive(world, BoundAction(MOVE, primary=pose_at(world, "box-0")), CFG)
+        assert reason is None and nxt.objects is not world.objects
+        assert digest(nxt) == plain_digest(nxt) and '"apple-1": ["apple", 0.0,' in nxt._objects
+        # the apple stays at 0.0 == 0, but an int destination encodes differently
+        held = replace(world, objects={"apple-1": obj("apple", 0.0, 0.5)}, gripper=Gripper(0.0, 0.5, "apple-1", True), inside={})
+        digest(held)
+        to = ObjectPose(x=0, y=0.5, theta=0.0, class_name="spot")
+        nxt, reason = apply_primitive(held, BoundAction(MOVE, primary=to), CFG)
+        assert reason is None and nxt.objects is not held.objects
+        assert digest(nxt) == plain_digest(nxt) and '"apple-1": ["apple", 0, 0.5,' in nxt._objects
