@@ -50,6 +50,7 @@ KINDS = (ITEM, CONTAINER, BOTTLE)
 _TASK_KINDS = ("composite", "pick-place", "push-away", "open-bottle", "pour", "deliver")
 
 _SEP_TOL = 1e-9
+_sorted_json = json.JSONEncoder(sort_keys=True).encode  # json.dumps(..., sort_keys=True), its encoder built once
 
 
 @dataclass(frozen=True)
@@ -607,11 +608,12 @@ def trace_to_jsonl(trace: ExecutionTrace) -> str:
 
     Each line is the text json.dumps(line, sort_keys=True) gives for the line
     {"action", "outcome", "post", "pre", "reason", "step"}, spliced in that
-    key order from its values, each encoded as json would encode it.
+    key order from its values, each encoded as json would encode it: the
+    action by json's encoder, the strings by json's own ASCII quoting.
     """
     return "".join(
-        f'{{"action": {json.dumps(bound_action_to_json(s.action), sort_keys=True)}, "outcome": {_quote(s.outcome)}, '
-        f'"post": {_quote(s.post_digest)}, "pre": {_quote(s.pre_digest)}, "reason": {json.dumps(s.reason)}, '
-        f'"step": {s.index}}}\n'
+        f'{{"action": {_sorted_json(bound_action_to_json(s.action))}, "outcome": {_quote(s.outcome)}, '
+        f'"post": {_quote(s.post_digest)}, "pre": {_quote(s.pre_digest)}, '
+        f'"reason": {"null" if s.reason is None else _quote(s.reason)}, "step": {s.index}}}\n'
         for s in trace.steps
     )

@@ -437,7 +437,8 @@ class TestReadOnlyState:
 
     def test_a_successor_copies_what_it_is_given_and_hands_on_read_only_views(self):
         w = world_with({"apple-0": obj("apple", 0.1, 0.2), "box-1": obj("box", 0.5, 0.5, kind=CONTAINER)})
-        objects, inside, poured = {**w.objects, "apple-0": obj("apple", 0.3, 0.4)}, {"apple-0": "box-1"}, {("apple-0", "box-1")}
+        objects = {**w.objects, "apple-0": obj("apple", 0.3, 0.4)}
+        inside, poured = {"apple-0": "box-1"}, {("apple-0", "box-1")}
         nxt = w.successor(objects=objects, inside=inside, poured=poured)
         before = digest(nxt)
         objects["apple-0"] = obj("apple", 0.6, 0.6)
@@ -738,7 +739,8 @@ class TestFragmentHandoff:
         assert reason is None and nxt.objects is not world.objects
         assert digest(nxt) == plain_digest(nxt) and '"apple-1": ["apple", 0.0,' in nxt._objects
         # the apple stays at 0.0 == 0, but an int destination encodes differently
-        held = replace(world, objects={"apple-1": obj("apple", 0.0, 0.5)}, gripper=Gripper(0.0, 0.5, "apple-1", True), inside={})
+        apple = obj("apple", 0.0, 0.5)
+        held = replace(world, objects={"apple-1": apple}, gripper=Gripper(0.0, 0.5, "apple-1", True), inside={})
         digest(held)
         to = ObjectPose(x=0, y=0.5, theta=0.0, class_name="spot")
         nxt, reason = apply_primitive(held, BoundAction(MOVE, primary=to), CFG)
