@@ -133,7 +133,7 @@ def write_json(path: Path, doc) -> None:
 
 
 def main() -> None:
-    cal = Calibration(scale=SCALE, origin=(0.0, 0.0), image_size=IMAGE_SIZE)
+    cal = Calibration(scale=SCALE, origin=(0.0, 0.0))
     write_json(
         FIXTURES / "calibration.json",
         {"scale": SCALE, "origin": [0.0, 0.0], "image_size": list(IMAGE_SIZE)},

@@ -25,7 +25,7 @@ from .knowledge import (
     rank_candidates,
     select_single_object,
 )
-from .planner import BoundAction, BoundPlan, arity, bind_plan, validate_plan
+from .planner import BoundAction, BoundPlan, bind_plan, validate_plan
 from .pose import (
     Calibration,
     DetectedScene,
@@ -65,7 +65,6 @@ __all__ = [
     "TaskSpec",
     "WorldState",
     "apply_primitive",
-    "arity",
     "bind_plan",
     "build_model",
     "centroid",

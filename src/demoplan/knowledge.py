@@ -8,6 +8,9 @@ and not the other way around.
 
 Counting is by sentence presence: one sentence contributes at most one count
 per (action, object) pair no matter how often the object is repeated.
+
+select_single_object takes the first of rank_candidates for any action;
+planner.CONTRACTS, not this module, says how many objects a step binds.
 """
 
 from __future__ import annotations
@@ -21,8 +24,6 @@ from .actions import ActionPrimitive
 from .jsondoc import array, load_json, primitive, record, text
 
 _TOKEN_RE = re.compile(r"[a-z0-9]+(?:-[a-z0-9]+)*")
-
-SINGLE_OBJECT_ACTIONS = (ActionPrimitive.PICK, ActionPrimitive.PLACE, ActionPrimitive.ROTATE)
 
 
 class EmptyModelError(ValueError):
@@ -168,14 +169,13 @@ def select_single_object(
     action: ActionPrimitive,
     detected: Iterable[str],
 ) -> SingleChoice:
-    """Argmax of P(obj | action) over the detected set for one-object actions.
+    """Argmax of P(obj | action) over the detected set, for any action.
 
     Ties break toward the lexicographically smaller name. When every detected
     object has zero probability the lexicographically smallest is returned
-    flagged low confidence, so a plan can proceed rather than deadlock.
+    flagged low confidence, so a plan can proceed rather than deadlock. An
+    empty detected set is a ValueError.
     """
-    if action not in SINGLE_OBJECT_ACTIONS:
-        raise ValueError(f"{action.value} is not a one-object action")
     ranked = rank_candidates(model, action, detected)
     if not ranked:
         raise ValueError("detected set must be non-empty")

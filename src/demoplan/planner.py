@@ -93,12 +93,6 @@ CONTRACTS = {
 }
 
 
-def arity(primitive: ActionPrimitive, holding: bool) -> int:
-    """Number of objects a primitive binds from the candidates; idle and move bind none."""
-    contract = CONTRACTS.get(primitive)
-    return 0 if contract is None else len(contract.bound(holding))
-
-
 def unfilled(step: BoundAction) -> str | None:
     """The contract's refusal when the step leaves a slot it must fill empty (tilt: its target), else None."""
     contract = CONTRACTS.get(step.primitive)

@@ -106,7 +106,6 @@ class Calibration:
 
     scale: float  # meters per pixel
     origin: tuple[float, float] = (0.0, 0.0)
-    image_size: tuple[float, float] = (600, 600)
 
     def __post_init__(self) -> None:
         if not (0.0 < self.scale < math.inf and all(map(math.isfinite, self.origin))):
@@ -216,9 +215,10 @@ def load_mask_file(path: str | Path) -> DetectedScene:
 
 
 def load_calibration(path: str | Path) -> Calibration:
+    """Read a calibration file; an image_size, which nothing reads, must still be a pair when given."""
     doc = record(load_json(path, "calibration"), "calibration")
-    return Calibration(
-        scale=positive(doc["scale"], "calibration scale"),
-        origin=vector(doc["origin"], 2, "calibration origin"),
-        image_size=vector(doc.get("image_size", [600, 600]), 2, "calibration image_size"),
-    )
+    scale = positive(doc["scale"], "calibration scale")
+    origin = vector(doc["origin"], 2, "calibration origin")
+    if "image_size" in doc:
+        vector(doc["image_size"], 2, "calibration image_size")
+    return Calibration(scale=scale, origin=origin)

@@ -31,7 +31,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from functools import cached_property
 from json.encoder import encode_basestring_ascii as _quote
 from pathlib import Path
@@ -47,7 +47,6 @@ ITEM = "item"
 CONTAINER = "container"
 BOTTLE = "bottle"
 KINDS = (ITEM, CONTAINER, BOTTLE)
-_TASK_KINDS = ("composite", "pick-place", "push-away", "open-bottle", "pour", "deliver")
 
 _SEP_TOL = 1e-9
 _sorted_json = json.JSONEncoder(sort_keys=True).encode  # json.dumps(..., sort_keys=True), its encoder built once
@@ -252,17 +251,11 @@ class _Refused(Exception):
 
 def _find(world: WorldState, pose: ObjectPose) -> str:
     """Nearest world object of the pose's class to the bound pose; ties by id."""
-    best: tuple[float, str] | None = None
-    for oid in sorted(world.objects):
-        obj = world.objects[oid]
-        if obj.class_name != pose.class_name:
-            continue
-        d = _dist(obj.x, obj.y, pose.x, pose.y)
-        if best is None or d < best[0]:
-            best = (d, oid)
-    if best is None:
+    objects = world.objects
+    near = [(_dist(o.x, o.y, pose.x, pose.y), oid) for oid, o in objects.items() if o.class_name == pose.class_name]
+    if not near:
         raise _Refused(f"no {pose.class_name} in the world")
-    return best[1]
+    return min(near)[1]
 
 
 def _reach(world: WorldState, oid: str, cfg: SimConfig) -> SimObject:
@@ -488,57 +481,76 @@ def check_invariants(world: WorldState, start: WorldState) -> list[str]:
     return out
 
 
-def _classes(world: WorldState, class_name: str) -> list[SimObject]:
-    return [o for oid, o in sorted(world.objects.items()) if o.class_name == class_name]
+def _classes(world: WorldState, class_name: str | None) -> list[SimObject]:
+    """The objects of a class; a task that names no class names the class ""."""
+    name = class_name or ""
+    return [o for o in world.objects.values() if o.class_name == name]
+
+
+def _near(movers: list[SimObject], goals: list[tuple[SimObject | DeliveryZone, float]], skip_self: bool = False) -> bool:
+    """Some mover lies within r, plus _SEP_TOL, of some (goal, r); skip_self passes over a mover that is its goal."""
+    return any(
+        _dist(m.x, m.y, g.x, g.y) <= r + _SEP_TOL for m in movers for g, r in goals if not (skip_self and m is g)
+    )
+
+
+def _composite(trace: ExecutionTrace, final: WorldState, spec: TaskSpec, cfg: SimConfig) -> bool:
+    return all(check_success(trace, final, part, cfg) for part in spec.parts)
+
+
+def _pick_place(trace: ExecutionTrace, final: WorldState, spec: TaskSpec, cfg: SimConfig) -> bool:
+    """The object lies within containment_radius of a target object, or with none given, within its radius."""
+    r = spec.containment_radius
+    goals = [(c, c.radius if r is None else r) for c in _classes(final, spec.target_class)]
+    return _near(_classes(final, spec.object_class), goals)
+
+
+def _push_away(trace: ExecutionTrace, final: WorldState, spec: TaskSpec, cfg: SimConfig) -> bool:
+    """The object lies within separation of a target object other than itself; with none given, within contact."""
+    sep = cfg.contact if spec.separation is None else spec.separation
+    goals = [(g, sep) for g in _classes(final, spec.target_class)]
+    return _near(_classes(final, spec.object_class), goals, skip_self=True)
+
+
+def _open_bottle(trace: ExecutionTrace, final: WorldState, spec: TaskSpec, cfg: SimConfig) -> bool:
+    return any(o.opened for o in _classes(final, spec.object_class))
+
+
+def _pour(trace: ExecutionTrace, final: WorldState, spec: TaskSpec, cfg: SimConfig) -> bool:
+    """An object of the class was poured into a target object, and both are still in the world."""
+    objects = final.objects
+    poured = {(objects[s].class_name, objects[d].class_name) for s, d in final.poured if s in objects and d in objects}
+    return (spec.object_class, spec.target_class) in poured
+
+
+def _deliver(trace: ExecutionTrace, final: WorldState, spec: TaskSpec, cfg: SimConfig) -> bool:
+    zone = final.zone
+    return zone is not None and _near(_classes(final, spec.object_class), [(zone, zone.radius)])
+
+
+# each task kind and its success predicate, which check_success calls with its own arguments
+_SUCCESS = {
+    "composite": _composite,
+    "pick-place": _pick_place,
+    "push-away": _push_away,
+    "open-bottle": _open_bottle,
+    "pour": _pour,
+    "deliver": _deliver,
+}
 
 
 def check_success(trace: ExecutionTrace, final: WorldState, spec: TaskSpec, cfg: SimConfig = SimConfig()) -> bool:
-    """Evaluate the task's geometric/symbolic success predicate on the end state."""
-    kind = spec.kind
-    if kind == "composite":
-        return all(check_success(trace, final, part, cfg) for part in spec.parts)
-    if kind == "pick-place":
-        movers = _classes(final, spec.object_class or "")
-        containers = _classes(final, spec.target_class or "")
-        for mover in movers:
-            for container in containers:
-                radius = spec.containment_radius if spec.containment_radius is not None else container.radius
-                if _dist(mover.x, mover.y, container.x, container.y) <= radius + _SEP_TOL:
-                    return True
-        return False
-    if kind == "push-away":
-        sep = spec.separation if spec.separation is not None else cfg.contact
-        for mover in _classes(final, spec.object_class or ""):
-            for goal in _classes(final, spec.target_class or ""):
-                if mover is goal:
-                    continue
-                if _dist(mover.x, mover.y, goal.x, goal.y) <= sep + _SEP_TOL:
-                    return True
-        return False
-    if kind == "open-bottle":
-        return any(o.opened for o in _classes(final, spec.object_class or ""))
-    if kind == "pour":
-        for src, dst in final.poured:
-            so, do = final.objects.get(src), final.objects.get(dst)
-            if so is None or do is None:
-                continue
-            if so.class_name == spec.object_class and do.class_name == spec.target_class:
-                return True
-        return False
-    if kind == "deliver":
-        if final.zone is None:
-            return False
-        return any(
-            _dist(o.x, o.y, final.zone.x, final.zone.y) <= final.zone.radius + _SEP_TOL
-            for o in _classes(final, spec.object_class or "")
-        )
-    raise ValueError(f"unknown task kind {kind!r}")
+    """Evaluate the task's geometric/symbolic success predicate on the end state; an unknown kind is a ValueError."""
+    predicate = _SUCCESS.get(spec.kind)
+    if predicate is None:
+        raise ValueError(f"unknown task kind {spec.kind!r}")
+    return predicate(trace, final, spec, cfg)
 
 
 def _task_from_json(doc: object, name: str = "task") -> TaskSpec:
     doc = record(doc, name)
     kind = text(doc["kind"], f"{name} kind")
-    if kind not in _TASK_KINDS:
+    if kind not in _SUCCESS:
         raise ValueError(f"{name} kind: unknown task kind {kind!r}")
     if not all(isinstance(doc.get(k), (str, type(None))) for k in ("object_class", "target_class")):
         raise ValueError(f"{name} object_class and target_class must be strings")
@@ -591,16 +603,10 @@ def load_scenario(path: str | Path) -> tuple[WorldState, TaskSpec, SimConfig]:
     gx, gy = on_table(vector(doc.get("gripper_start", [0.0, 0.0]), 2, "gripper start"), "gripper start")
     thresholds = record(doc.get("thresholds", {}), "thresholds")
     cfg = SimConfig(
-        **{
-            name: positive(thresholds.get(name, getattr(SimConfig, name)), f"threshold {name}")
-            for name in ("reach", "contact", "cap_turn_angle", "open_turn_angle")
-        }
+        **{f.name: positive(thresholds.get(f.name, f.default), f"threshold {f.name}") for f in fields(SimConfig)}
     )
-    task = _task_from_json(doc["task"])
-    if task.kind == "push-away" and task.separation is None:
-        task = replace(task, separation=cfg.contact)
     world = WorldState(width=width, height=height, objects=objects, gripper=Gripper(x=gx, y=gy), zone=zone)
-    return world, task, cfg
+    return world, _task_from_json(doc["task"]), cfg
 
 
 def trace_to_jsonl(trace: ExecutionTrace) -> str:

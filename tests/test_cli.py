@@ -251,6 +251,7 @@ class TestPlan:
             {"scale": 0.0015, "origin": [0, 0, 5]},
             {"scale": True, "origin": [0.0, 0.0]},
             {"scale": "0.0015", "origin": [0.0, 0.0]},
+            {"scale": 0.0015, "origin": [0, 0], "image_size": [600]},
         ],
     )
     def test_non_finite_calibration_exits_2(self, capsys, tmp_path, doc):
@@ -519,6 +520,15 @@ class TestBench:
         assert sha == {
             "summary.json": "9d372fd65b87d1c65b365e00e82edb90054a367cedb0cf754c5c345913292dd1",
             "bench.tsv": "a61ac72e8bd5a94070c7f28c0977808f9c2174c9897d7683bc6e8d096239a538",
+        }
+
+    def test_noisy_run_is_byte_identical_to_its_pin(self, capsys, tmp_path):
+        """At 30% noise the trials also end in binding, validation and execution failures, which 10% never reaches."""
+        assert run_cli("bench", "--trials", "100", "--noise", "0.30", "--seed", "5", "--out", str(tmp_path)) == 0
+        sha = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() for name in ("summary.json", "bench.tsv")}
+        assert sha == {
+            "summary.json": "27abaa56cb4522eb3775a56cd135f832ff138fe0b9ff779abee4ad0726fefe1e",
+            "bench.tsv": "96d59bc489e07ca28257f76fa3ab251e141f0263519127f0a0cee8891f05505f",
         }
 
     def test_clean_run_is_perfect(self, capsys, tmp_path):

@@ -155,9 +155,11 @@ class TestSelectSingleObject:
         choice = select_single_object(model, PICK, {"grape", "corn"})
         assert choice == SingleChoice("corn", low_confidence=True)
 
-    def test_two_object_action_rejected(self, fixture_model):
-        with pytest.raises(ValueError):
-            select_single_object(fixture_model, PUSH, {"apple", "pear"})
+    def test_any_action_takes_the_argmax(self, fixture_model):
+        # tilt while holding binds one object, its target (planner.CONTRACTS)
+        assert select_single_object(fixture_model, TILT, {"paper-box"}).name == "paper-box"
+        ranked = rank_candidates(fixture_model, PUSH, {"apple", "pear"})
+        assert select_single_object(fixture_model, PUSH, {"apple", "pear"}).name == ranked[0]
 
     def test_empty_detected_rejected(self, fixture_model):
         with pytest.raises(ValueError):

@@ -11,9 +11,9 @@ from demoplan.planner import (
     BindingError,
     BoundAction,
     BoundPlan,
+    CONTRACTS,
     LOW_CONFIDENCE,
     NORMAL,
-    arity,
     bind_plan,
     dump_plan,
     load_plan,
@@ -64,7 +64,8 @@ class TestArity:
         ],
     )
     def test_object_counts(self, primitive, holding, expected):
-        assert arity(primitive, holding) == expected
+        contract = CONTRACTS.get(primitive)  # idle and move have none
+        assert (0 if contract is None else len(contract.bound(holding))) == expected
 
 
 class TestBindPlan:

@@ -288,7 +288,7 @@ class TestMaskFile:
         path = tmp_path / "cal.json"
         path.write_text(json.dumps({"scale": 0.002, "origin": [0.1, 0.2], "image_size": [640, 480]}))
         cal = load_calibration(path)
-        assert cal == Calibration(scale=0.002, origin=(0.1, 0.2), image_size=(640, 480))
+        assert cal == Calibration(scale=0.002, origin=(0.1, 0.2))
 
 
 def random_pixel_mask(rng: random.Random) -> Mask:

@@ -93,6 +93,14 @@ class TestPick:
         _, reason = apply_primitive(w, BoundAction(PICK, primary=ObjectPose(0.3, 0.3, 0, "pear")), CFG)
         assert reason is not None and "pear" in reason
 
+    def test_equidistant_objects_tie_to_the_smaller_id(self):
+        # inserted larger id first, at offsets of 1/64 m so both distances are exact and equal
+        objects = {"apple-2": obj("apple", 0.5, 0.515625), "apple-1": obj("apple", 0.5, 0.484375)}
+        for order in (objects, dict(reversed(objects.items()))):
+            w = world_with(order, gripper=(0.5, 0.5))
+            nxt, reason = apply_primitive(w, BoundAction(PICK, primary=ObjectPose(0.5, 0.5, 0, "apple")), CFG)
+            assert reason is None and nxt.gripper.holding == "apple-1"
+
 
 class TestMoveAndPlace:
     def test_move_translates_gripper_and_held_object(self):
@@ -381,6 +389,66 @@ class TestCheckSuccess:
         w = world_with({})
         with pytest.raises(ValueError):
             check_success(ExecutionTrace(()), w, TaskSpec(kind="juggle"), CFG)
+
+    @staticmethod
+    def holds(w, spec, cfg=CFG):
+        return check_success(ExecutionTrace(()), w, spec, cfg)
+
+    @pytest.mark.parametrize("kind", ["pick-place", "push-away", "deliver"])
+    def test_radius_plus_tolerance_is_the_boundary(self, kind):
+        # 0.5 - edge and its difference from 0.5 are exact, so the distance is exactly radius + _SEP_TOL
+        edge = 0.25 + sim._SEP_TOL
+        spec = TaskSpec(kind, "apple", "bowl", containment_radius=0.25, separation=0.25)
+        for x, expected in ((0.5 - edge, True), (math.nextafter(0.5 - edge, 0.0), False)):
+            w = world_with(
+                {"a-0": obj("apple", x, 0.5), "bowl-0": obj("bowl", 0.5, 0.5, kind=CONTAINER)},
+                zone=DeliveryZone(0.5, 0.5, 0.25),
+            )
+            assert self.holds(w, spec) is expected, x
+
+    def test_pick_place_radius_is_the_container_s_unless_given(self):
+        w = world_with({"a-0": obj("apple", 0.45, 0.5), "bowl-0": obj("bowl", 0.5, 0.5, kind=CONTAINER, radius=0.06)})
+        assert self.holds(w, TaskSpec("pick-place", "apple", "bowl"))
+        assert not self.holds(w, TaskSpec("pick-place", "apple", "bowl", containment_radius=0.04))
+        w = world_with({"a-0": obj("apple", 0.4, 0.5), "bowl-0": obj("bowl", 0.5, 0.5, kind=CONTAINER, radius=0.06)})
+        assert not self.holds(w, TaskSpec("pick-place", "apple", "bowl"))
+        assert self.holds(w, TaskSpec("pick-place", "apple", "bowl", containment_radius=0.11))
+
+    def test_push_away_separation_defaults_to_the_contact_distance(self):
+        w = world_with({"g-0": obj("grape", 0.45, 0.5), "c-0": obj("croissant", 0.5, 0.5)})
+        spec = TaskSpec("push-away", "grape", "croissant")
+        assert not self.holds(w, spec, SimConfig(contact=0.04))
+        assert self.holds(w, spec, SimConfig(contact=0.06))
+        assert self.holds(w, replace(spec, separation=0.06), SimConfig(contact=0.04))
+        assert not self.holds(w, replace(spec, separation=0.04), SimConfig(contact=0.06))
+
+    def test_composite_push_away_part_without_separation_uses_the_contact_distance(self):
+        w = world_with({"g-0": obj("grape", 0.45, 0.5), "c-0": obj("croissant", 0.5, 0.5)})
+        spec = TaskSpec("composite", parts=(TaskSpec("push-away", "grape", "croissant"),))
+        assert not self.holds(w, spec, SimConfig(contact=0.04))
+        assert self.holds(w, spec, SimConfig(contact=0.06))
+
+    def test_same_class_push_away_skips_the_object_itself(self):
+        alone = world_with({"b-0": obj("bowl", 0.5, 0.5, kind=CONTAINER)})
+        assert not self.holds(alone, TaskSpec("push-away", "bowl", "bowl", separation=0.04))
+        pair = world_with({"b-0": obj("bowl", 0.5, 0.5, kind=CONTAINER), "b-1": obj("bowl", 0.53, 0.5, kind=CONTAINER)})
+        assert self.holds(pair, TaskSpec("push-away", "bowl", "bowl", separation=0.04))
+
+    def test_same_class_pick_place_counts_the_object_itself(self):
+        alone = world_with({"b-0": obj("bowl", 0.5, 0.5, kind=CONTAINER)})
+        assert self.holds(alone, TaskSpec("pick-place", "bowl", "bowl"))
+
+    def test_pour_skips_a_pair_whose_object_is_missing(self):
+        objects = {"b-0": obj("black-bottle", 0.5, 0.5, kind="bottle"), "cup-0": obj("cup", 0.55, 0.5, kind=CONTAINER)}
+        spec = TaskSpec("pour", "black-bottle", "cup")
+        assert not self.holds(replace(world_with(objects), poured={("ghost", "cup-0")}), spec)
+        assert not self.holds(replace(world_with(objects), poured={("b-0", "ghost")}), spec)
+        assert self.holds(replace(world_with(objects), poured={("ghost", "cup-0"), ("b-0", "cup-0")}), spec)
+
+    def test_deliver_without_a_zone_fails(self):
+        w = world_with({"a-0": obj("apple", 0.5, 0.5)})
+        assert not self.holds(w, TaskSpec("deliver", "apple"))
+        assert self.holds(replace(w, zone=DeliveryZone(0.5, 0.5, 0.05)), TaskSpec("deliver", "apple"))
 
 
 class TestScenarioLoader:
