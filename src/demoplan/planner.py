@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from json.encoder import encode_basestring_ascii as _quote
 from pathlib import Path
 from typing import NamedTuple, Sequence
 
@@ -221,6 +222,29 @@ def bound_action_to_json(step: BoundAction) -> dict:
         "target": _pose_to_json(step.target),
         "confidence": step.confidence,
     }
+
+
+def _pose_text(pose: ObjectPose | None) -> str:
+    """json.dumps(_pose_to_json(pose), sort_keys=True), spliced.
+
+    x - x == 0 holds for every finite number, so repr writes the numbers as
+    json does; a pose with NaN or an infinity goes to json's own spelling.
+    """
+    if pose is None:
+        return "null"
+    x, y, theta = pose.x, pose.y, pose.theta
+    if not (x - x == 0 and y - y == 0 and theta - theta == 0):
+        return json.dumps(_pose_to_json(pose), sort_keys=True)
+    head = f'{{"class": {_quote(pose.class_name)}, "degenerate": {"true" if pose.degenerate else "false"}'
+    return f'{head}, "theta": {theta!r}, "x": {x!r}, "y": {y!r}}}'
+
+
+def action_json(step: BoundAction) -> str:
+    """The step as json.dumps(bound_action_to_json(step), sort_keys=True) writes it, spliced (see _pose_text)."""
+    return (
+        f'{{"confidence": {_quote(step.confidence)}, "primary": {_pose_text(step.primary)}, '
+        f'"primitive": {_quote(step.primitive.value)}, "target": {_pose_text(step.target)}}}'
+    )
 
 
 def plan_to_json(plan: BoundPlan) -> list[dict]:

@@ -31,7 +31,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, fields
 from functools import cached_property
 from json.encoder import encode_basestring_ascii as _quote
 from pathlib import Path
@@ -40,7 +40,7 @@ from typing import Iterable, Mapping
 
 from .actions import ActionPrimitive
 from .jsondoc import array, load_json, positive, record, text, vector
-from .planner import CONTRACTS, BoundAction, BoundPlan, bound_action_to_json, unfilled
+from .planner import CONTRACTS, BoundAction, BoundPlan, action_json, unfilled
 from .pose import ObjectPose
 
 ITEM = "item"
@@ -49,17 +49,23 @@ BOTTLE = "bottle"
 KINDS = (ITEM, CONTAINER, BOTTLE)
 
 _SEP_TOL = 1e-9
-_sorted_json = json.JSONEncoder(sort_keys=True).encode  # json.dumps(..., sort_keys=True), its encoder built once
 
 
 @dataclass(frozen=True)
 class SimConfig:
-    """Execution thresholds; all lengths in meters, angles in radians."""
+    """Execution thresholds, stored as floats; all lengths in meters, angles in radians.
+
+    A threshold that is not a finite positive number is a ValueError.
+    """
 
     reach: float = 0.05
     contact: float = 0.04
     cap_turn_angle: float = 6.0 * math.pi  # three full turns per rotate step
     open_turn_angle: float = 6.0 * math.pi  # accumulated turn that counts as opened
+
+    def __post_init__(self) -> None:
+        for f in fields(self):
+            object.__setattr__(self, f.name, positive(getattr(self, f.name), f"threshold {f.name}"))
 
 
 @dataclass(frozen=True)
@@ -78,8 +84,8 @@ class SimObject:
         """This object's list in the digest document, encoded once per instance.
 
         The cache is keyed on the instance, never on the value: -0.0 == 0.0,
-        but the two encode differently. replace() builds a new instance, so a
-        changed object is encoded again.
+        but the two encode differently. The simulator builds a moved or turned
+        object as a new instance, so a changed object is encoded again.
         """
         return json.dumps(
             [self.class_name, self.x, self.y, self.theta, self.radius, self.kind, self.turned, self.opened]
@@ -110,14 +116,15 @@ def _private(items: Mapping) -> MappingProxyType:
 class WorldState:
     """One immutable world state.
 
-    WorldState(...) and replace() copy objects and inside into new read-only
-    views and poured into a frozenset, so neither a later edit of the caller's
-    dicts nor a write through the views can change a state. Its digest is
+    The constructor copies objects and inside into new read-only views and
+    poured into a frozenset, so neither a later edit of the caller's dicts
+    nor a write through the views can change a state. Its digest is
     therefore computed once per instance and cached, as are its encoded
     fragments: inside, poured, the objects (joined from each object's cached
-    entry) and the frame of height, width and zone. Both build a state with
-    empty caches. successor(), which apply_primitive uses, copies only what a
-    step passes anew and hands on every other field and fragment as it is.
+    entry) and the frame of height, width and zone. A constructed state
+    starts with empty caches. successor(), which apply_primitive uses,
+    copies only what a step passes anew and hands on every other field and
+    fragment as it is.
     """
 
     width: float
@@ -134,11 +141,11 @@ class WorldState:
             object.__setattr__(self, f, view(getattr(self, f)))
 
     def successor(self, **changes) -> WorldState:
-        """The state replace(self, **changes) would build, without its copies.
+        """The state the constructor would build from this state's fields and changes, without its copies.
 
-        A field that changes passes as a new object is taken as replace()
-        takes it: objects and inside into new read-only views over copies,
-        poured into a frozenset. Every other field stays this state's own
+        A field that changes passes as a new object is taken as the
+        constructor takes it: objects and inside into new read-only views over
+        copies, poured into a frozenset. Every other field stays this state's own
         object, the objects and inside views included, and so does each cached
         fragment none of whose fields changed. A field is unchanged only as the
         same object (is, not ==): -0.0 == 0.0, but the two encode differently.
@@ -174,13 +181,26 @@ class WorldState:
     @cached_property
     def _digest(self) -> str:
         """The sha256 hex of the digest payload (see digest); only clock and gripper are encoded anew here."""
-        g, (height, width, zone) = self.gripper, self._frame
-        head = json.dumps({"clock": self.clock, "gripper": [g.x, g.y, g.holding, g.closed]})
+        height, width, zone = self._frame
+        head = _head(self.clock, self.gripper)
         payload = (
             f'{head[:-1]}, "height": {height}, "inside": {self._inside}, "objects": {{{self._objects}}}, '
             f'"poured": {self._poured}, "width": {width}, "zone": {zone}}}'
         )
         return hashlib.sha256(payload.encode("utf-8")).hexdigest()
+
+
+def _head(clock: int, g: Gripper) -> str:
+    """json.dumps({"clock": clock, "gripper": [g.x, g.y, g.holding, g.closed]}), spliced.
+
+    x - x == 0 holds for every finite number, so repr writes the coordinates
+    as json does; NaN or an infinity goes to json's own spelling.
+    """
+    x, y = g.x, g.y
+    if not (x - x == 0 and y - y == 0):
+        return json.dumps({"clock": clock, "gripper": [x, y, g.holding, g.closed]})
+    holding = "null" if g.holding is None else _quote(g.holding)
+    return f'{{"clock": {clock!r}, "gripper": [{x!r}, {y!r}, {holding}, {"true" if g.closed else "false"}]}}'
 
 
 # each WorldState field that a cached digest fragment encodes, and that fragment
@@ -302,7 +322,8 @@ def _moved(world: WorldState, group: dict[str, tuple[float, float]], refusal: st
         raise _Refused(refusal)
     out = objects.copy()
     for oid, (x, y) in group.items():
-        out[oid] = replace(objects[oid], x=x, y=y)
+        o = objects[oid]
+        out[oid] = SimObject(o.class_name, x, y, o.theta, o.radius, o.kind, o.turned, o.opened)
     return out
 
 
@@ -357,9 +378,8 @@ def apply_primitive(
             held = gripper.holding
             objects = world.objects if held is None else _carry(world, _contents(world, held), dx, dy, "move")
             handover = world.zone is not None and _dist(dx, dy, world.zone.x, world.zone.y) <= world.zone.radius
-            if handover and held is not None:
-                gripper = replace(gripper, holding=None, closed=False)
-            changes = {"gripper": replace(gripper, x=dx, y=dy), "objects": objects}
+            gripper = Gripper(dx, dy) if handover and held is not None else Gripper(dx, dy, held, gripper.closed)
+            changes = {"gripper": gripper, "objects": objects}
 
         elif p == ActionPrimitive.PICK:
             if gripper.holding is not None:
@@ -367,7 +387,7 @@ def apply_primitive(
             oid = _find(world, act.primary)
             obj = _reach(world, oid, cfg)
             inside = {k: c for k, c in world.inside.items() if k != oid} if oid in world.inside else world.inside
-            changes = {"gripper": replace(gripper, x=obj.x, y=obj.y, holding=oid, closed=True), "inside": inside}
+            changes = {"gripper": Gripper(obj.x, obj.y, oid, True), "inside": inside}
 
         elif p == ActionPrimitive.PLACE:
             held, cid = _container(world, act, "place", "place")
@@ -378,8 +398,7 @@ def apply_primitive(
             objects = _carry(world, contents, container.x, container.y, "place")
             inside = world.inside.copy()
             inside[held] = cid
-            gripper = replace(gripper, x=container.x, y=container.y, holding=None, closed=False)
-            changes = {"objects": objects, "gripper": gripper, "inside": inside}
+            changes = {"objects": objects, "gripper": Gripper(container.x, container.y), "inside": inside}
 
         elif p == ActionPrimitive.PUSH:
             if gripper.holding is not None:
@@ -389,35 +408,29 @@ def apply_primitive(
                 raise _Refused("push needs two distinct objects")
             po, to = world.objects[pid], world.objects[tid]
             d = _dist(po.x, po.y, to.x, to.y)
-            if d <= cfg.contact:
-                changes = {"gripper": replace(gripper, x=po.x, y=po.y)}
-            elif d == 0.0:
-                raise _Refused("push objects are coincident")
+            if d <= cfg.contact:  # SimConfig keeps contact positive, so d > 0 below
+                changes = {"gripper": Gripper(po.x, po.y, None, gripper.closed)}
             else:
                 ux, uy = (to.x - po.x) / d, (to.y - po.y) / d
                 nx, ny = to.x - cfg.contact * ux, to.y - cfg.contact * uy
                 group = {pid} | (_contents(world, pid) if po.kind == CONTAINER else set())
                 objects = _moved(world, _shift(world, group, nx - po.x, ny - po.y), "push would leave the workspace")
-                changes = {"objects": objects, "gripper": replace(gripper, x=nx, y=ny)}
+                changes = {"objects": objects, "gripper": Gripper(nx, ny, None, gripper.closed)}
 
         elif p == ActionPrimitive.TILT:
             held, tid = _container(world, act, "tilt", "pour")
             _reach(world, tid, cfg)
             # pouring done: set the object down where it is and open the gripper
-            gripper = replace(gripper, holding=None, closed=False)
-            changes = {"poured": world.poured | {(held, tid)}, "gripper": gripper}
+            changes = {"poured": world.poured | {(held, tid)}, "gripper": Gripper(gripper.x, gripper.y)}
 
         elif p == ActionPrimitive.ROTATE:
             oid = _find(world, act.primary)
             obj = world.objects[oid] if gripper.holding == oid else _reach(world, oid, cfg)
             turned = obj.turned + cfg.cap_turn_angle
+            theta = (obj.theta + cfg.cap_turn_angle) % (2.0 * math.pi)
+            opened = obj.opened or turned >= cfg.open_turn_angle - _SEP_TOL
             objects = world.objects.copy()
-            objects[oid] = replace(
-                obj,
-                theta=(obj.theta + cfg.cap_turn_angle) % (2.0 * math.pi),
-                turned=turned,
-                opened=obj.opened or turned >= cfg.open_turn_angle - _SEP_TOL,
-            )
+            objects[oid] = SimObject(obj.class_name, obj.x, obj.y, theta, obj.radius, obj.kind, turned, opened)
             changes = {"objects": objects}
 
         else:  # pragma: no cover - the enum is closed
@@ -482,9 +495,8 @@ def check_invariants(world: WorldState, start: WorldState) -> list[str]:
 
 
 def _classes(world: WorldState, class_name: str | None) -> list[SimObject]:
-    """The objects of a class; a task that names no class names the class ""."""
-    name = class_name or ""
-    return [o for o in world.objects.values() if o.class_name == name]
+    """The objects of a class."""
+    return [o for o in world.objects.values() if o.class_name == class_name]
 
 
 def _near(movers: list[SimObject], goals: list[tuple[SimObject | DeliveryZone, float]], skip_self: bool = False) -> bool:
@@ -494,57 +506,63 @@ def _near(movers: list[SimObject], goals: list[tuple[SimObject | DeliveryZone, f
     )
 
 
-def _composite(trace: ExecutionTrace, final: WorldState, spec: TaskSpec, cfg: SimConfig) -> bool:
-    return all(check_success(trace, final, part, cfg) for part in spec.parts)
+def _composite(final: WorldState, spec: TaskSpec, cfg: SimConfig) -> bool:
+    return all(_predicate(part.kind)(final, part, cfg) for part in spec.parts)
 
 
-def _pick_place(trace: ExecutionTrace, final: WorldState, spec: TaskSpec, cfg: SimConfig) -> bool:
+def _pick_place(final: WorldState, spec: TaskSpec, cfg: SimConfig) -> bool:
     """The object lies within containment_radius of a target object, or with none given, within its radius."""
     r = spec.containment_radius
     goals = [(c, c.radius if r is None else r) for c in _classes(final, spec.target_class)]
     return _near(_classes(final, spec.object_class), goals)
 
 
-def _push_away(trace: ExecutionTrace, final: WorldState, spec: TaskSpec, cfg: SimConfig) -> bool:
+def _push_away(final: WorldState, spec: TaskSpec, cfg: SimConfig) -> bool:
     """The object lies within separation of a target object other than itself; with none given, within contact."""
     sep = cfg.contact if spec.separation is None else spec.separation
     goals = [(g, sep) for g in _classes(final, spec.target_class)]
     return _near(_classes(final, spec.object_class), goals, skip_self=True)
 
 
-def _open_bottle(trace: ExecutionTrace, final: WorldState, spec: TaskSpec, cfg: SimConfig) -> bool:
+def _open_bottle(final: WorldState, spec: TaskSpec, cfg: SimConfig) -> bool:
     return any(o.opened for o in _classes(final, spec.object_class))
 
 
-def _pour(trace: ExecutionTrace, final: WorldState, spec: TaskSpec, cfg: SimConfig) -> bool:
+def _pour(final: WorldState, spec: TaskSpec, cfg: SimConfig) -> bool:
     """An object of the class was poured into a target object, and both are still in the world."""
     objects = final.objects
     poured = {(objects[s].class_name, objects[d].class_name) for s, d in final.poured if s in objects and d in objects}
     return (spec.object_class, spec.target_class) in poured
 
 
-def _deliver(trace: ExecutionTrace, final: WorldState, spec: TaskSpec, cfg: SimConfig) -> bool:
+def _deliver(final: WorldState, spec: TaskSpec, cfg: SimConfig) -> bool:
     zone = final.zone
     return zone is not None and _near(_classes(final, spec.object_class), [(zone, zone.radius)])
 
 
-# each task kind and its success predicate, which check_success calls with its own arguments
+# each task kind: its success predicate on (final state, spec, thresholds), and the class fields the predicate reads
 _SUCCESS = {
-    "composite": _composite,
-    "pick-place": _pick_place,
-    "push-away": _push_away,
-    "open-bottle": _open_bottle,
-    "pour": _pour,
-    "deliver": _deliver,
+    "composite": (_composite, ()),
+    "pick-place": (_pick_place, ("object_class", "target_class")),
+    "push-away": (_push_away, ("object_class", "target_class")),
+    "open-bottle": (_open_bottle, ("object_class",)),
+    "pour": (_pour, ("object_class", "target_class")),
+    "deliver": (_deliver, ("object_class",)),
 }
 
 
+def _predicate(kind: str):
+    if kind not in _SUCCESS:
+        raise ValueError(f"unknown task kind {kind!r}")
+    return _SUCCESS[kind][0]
+
+
 def check_success(trace: ExecutionTrace, final: WorldState, spec: TaskSpec, cfg: SimConfig = SimConfig()) -> bool:
-    """Evaluate the task's geometric/symbolic success predicate on the end state; an unknown kind is a ValueError."""
-    predicate = _SUCCESS.get(spec.kind)
-    if predicate is None:
-        raise ValueError(f"unknown task kind {spec.kind!r}")
-    return predicate(trace, final, spec, cfg)
+    """Evaluate the task's geometric/symbolic success predicate on the end state; an unknown kind is a ValueError.
+
+    Every predicate tests the end state only, so the trace is not read.
+    """
+    return _predicate(spec.kind)(final, spec, cfg)
 
 
 def _task_from_json(doc: object, name: str = "task") -> TaskSpec:
@@ -554,6 +572,9 @@ def _task_from_json(doc: object, name: str = "task") -> TaskSpec:
         raise ValueError(f"{name} kind: unknown task kind {kind!r}")
     if not all(isinstance(doc.get(k), (str, type(None))) for k in ("object_class", "target_class")):
         raise ValueError(f"{name} object_class and target_class must be strings")
+    for k in _SUCCESS[kind][1]:
+        if doc.get(k) is None:
+            raise ValueError(f"{name} of kind {kind!r} names no {k}")
     bounds = {k: positive(doc[k], f"{name} {k}") for k in ("containment_radius", "separation") if doc.get(k) is not None}
     parts = array(doc["parts"], f"{name} parts", nonempty=True) if kind == "composite" else ()
     return TaskSpec(
@@ -602,9 +623,7 @@ def load_scenario(path: str | Path) -> tuple[WorldState, TaskSpec, SimConfig]:
         zone = DeliveryZone(x=zx, y=zy, radius=positive(z["radius"], "delivery zone radius"))
     gx, gy = on_table(vector(doc.get("gripper_start", [0.0, 0.0]), 2, "gripper start"), "gripper start")
     thresholds = record(doc.get("thresholds", {}), "thresholds")
-    cfg = SimConfig(
-        **{f.name: positive(thresholds.get(f.name, f.default), f"threshold {f.name}") for f in fields(SimConfig)}
-    )
+    cfg = SimConfig(**{f.name: thresholds.get(f.name, f.default) for f in fields(SimConfig)})
     world = WorldState(width=width, height=height, objects=objects, gripper=Gripper(x=gx, y=gy), zone=zone)
     return world, _task_from_json(doc["task"]), cfg
 
@@ -615,10 +634,10 @@ def trace_to_jsonl(trace: ExecutionTrace) -> str:
     Each line is the text json.dumps(line, sort_keys=True) gives for the line
     {"action", "outcome", "post", "pre", "reason", "step"}, spliced in that
     key order from its values, each encoded as json would encode it: the
-    action by json's encoder, the strings by json's own ASCII quoting.
+    action by planner.action_json, the strings by json's own ASCII quoting.
     """
     return "".join(
-        f'{{"action": {_sorted_json(bound_action_to_json(s.action))}, "outcome": {_quote(s.outcome)}, '
+        f'{{"action": {action_json(s.action)}, "outcome": {_quote(s.outcome)}, '
         f'"post": {_quote(s.post_digest)}, "pre": {_quote(s.pre_digest)}, '
         f'"reason": {"null" if s.reason is None else _quote(s.reason)}, "step": {s.index}}}\n'
         for s in trace.steps

@@ -390,6 +390,28 @@ class TestRun:
         code = run_cli("run", "--plan", str(pick_place_plan), "--scenario", str(scenario))
         assert "task part kind" in assert_parse_error(code, capsys)
 
+    @pytest.mark.parametrize(
+        "task, field",
+        [
+            ({"kind": "deliver"}, "task of kind 'deliver' names no object_class"),
+            ({"kind": "deliver", "object_class": None}, "task of kind 'deliver' names no object_class"),
+            (
+                {"kind": "composite", "parts": [{"kind": "pour", "object_class": "banana"}]},
+                "task part of kind 'pour' names no target_class",
+            ),
+        ],
+    )
+    def test_task_without_the_class_it_reads_exits_2(self, capsys, tmp_path, task, field):
+        plan = tmp_path / "plan.json"
+        labels, masks = fixtures.labels_path("deliver"), fixtures.masks_path("deliver")
+        assert run_cli("plan", "--labels", str(labels), "--masks", str(masks), "--out", str(plan)) == 0
+        doc = json.loads(fixtures.scenario_path("deliver").read_text())
+        scenario = tmp_path / "scenario.json"
+        scenario.write_text(json.dumps({**doc, "task": task}))
+        capsys.readouterr()
+        code = run_cli("run", "--plan", str(plan), "--scenario", str(scenario))
+        assert field in assert_parse_error(code, capsys)
+
 
     @pytest.mark.parametrize(
         "edit",

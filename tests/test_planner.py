@@ -14,13 +14,16 @@ from demoplan.planner import (
     CONTRACTS,
     LOW_CONFIDENCE,
     NORMAL,
+    action_json,
     bind_plan,
+    bound_action_to_json,
     dump_plan,
     load_plan,
     plan_to_json,
     validate_plan,
 )
 from demoplan.pose import ObjectPose, load_calibration, load_mask_file, sense_scene
+from worldgen import ODD_NAMES, odd_number
 
 IDLE = ActionPrimitive.IDLE
 MOVE = ActionPrimitive.MOVE
@@ -262,6 +265,24 @@ class TestPlanIO:
         assert doc[0]["primitive"] == "idle"
         assert doc[0]["confidence"] == NORMAL
         assert set(doc[2]["primary"]) == {"x", "y", "theta", "class", "degenerate"}
+
+
+class TestActionJson:
+    """action_json is spliced; it must be the text json.dumps writes for the step with sorted keys."""
+
+    def test_fuzzed_steps_against_json(self):
+        rng = random.Random(16)
+
+        def odd_pose():
+            if rng.random() < 0.2:
+                return None
+            x, y, theta = (odd_number(rng) for _ in range(3))
+            return ObjectPose(x, y, theta, rng.choice(ODD_NAMES), rng.random() < 0.5)
+
+        for _ in range(3000):
+            confidence = rng.choice((NORMAL, LOW_CONFIDENCE) + ODD_NAMES)
+            step = BoundAction(rng.choice(list(ActionPrimitive)), odd_pose(), odd_pose(), confidence)
+            assert action_json(step) == json.dumps(bound_action_to_json(step), sort_keys=True)
 
 
 class TestBindingSignature:

@@ -6,7 +6,7 @@ from collections import Counter
 from dataclasses import replace
 
 import pytest
-from worldgen import random_action, random_world
+from worldgen import ODD_NAMES, odd_number, random_action, random_world
 
 from demoplan import fixtures, sim
 from demoplan.actions import ActionPrimitive, keys_from_names
@@ -451,6 +451,19 @@ class TestCheckSuccess:
         assert self.holds(replace(w, zone=DeliveryZone(0.5, 0.5, 0.05)), TaskSpec("deliver", "apple"))
 
 
+class TestSimConfig:
+    @pytest.mark.parametrize(
+        "thresholds", [{"contact": 0}, {"reach": math.nan}, {"reach": -1.0}, {"open_turn_angle": math.inf}]
+    )
+    def test_a_threshold_that_is_not_finite_and_positive_is_refused(self, thresholds):
+        with pytest.raises(ValueError, match=f"threshold {next(iter(thresholds))}"):
+            SimConfig(**thresholds)
+
+    def test_thresholds_are_stored_as_floats(self):
+        cfg = SimConfig(reach=1, contact=2)
+        assert (cfg.reach, cfg.contact) == (1.0, 2.0) and type(cfg.reach) is float
+
+
 class TestScenarioLoader:
     def test_fixture_scenarios_load(self):
         for task in fixtures.TASKS:
@@ -660,6 +673,25 @@ class TestDigestEncoding:
         )
         for world in (empty, zoned, full):
             assert digest(world) == plain_digest(world)
+
+
+class TestHeadEncoding:
+    """The digest head is spliced; it must be the text json.dumps writes for it."""
+
+    def test_fuzzed_heads_against_json(self):
+        rng = random.Random(16)
+        for _ in range(3000):
+            holding = rng.choice((None,) + ODD_NAMES)
+            g = Gripper(odd_number(rng), odd_number(rng), holding, rng.random() < 0.5)
+            clock = rng.choice((0, 1, 599, 10**20))
+            assert sim._head(clock, g) == json.dumps({"clock": clock, "gripper": [g.x, g.y, g.holding, g.closed]})
+
+    def test_odd_grippers_digest_as_the_plain_encoding(self):
+        for x in (-0.0, 1e-300, 1e16, 3, math.nan, math.inf, -math.inf):
+            for holding, closed in ((None, False), ('a"b\\c', True), ("箱-1", True)):
+                world = world_with({'a"b\\c': obj("apple", 0.1, 0.2)})
+                world = replace(world, gripper=Gripper(x, 0.5, holding, closed), clock=7)
+                assert digest(world) == plain_digest(world)
 
 
 def plain_trace(trace):

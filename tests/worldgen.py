@@ -48,3 +48,17 @@ def random_action(rng: random.Random, world: WorldState) -> BoundAction:
         )
 
     return BoundAction(primitive, primary=maybe_pose(), target=maybe_pose())
+
+
+# numbers json spells in every way it can: ints, ordinary and extreme floats, -0.0 and the non-finite
+ODD_NUMBERS = (0, 1, -7, 10**20, 0.0, -0.0, 0.1, -2.5, 1e-300, 5e-324, 1e16, 1.7976931348623157e308,
+               math.nan, math.inf, -math.inf)
+# names that need json's escapes: quotes, a backslash, a control character, non-ASCII and a surrogate pair
+ODD_NAMES = ("apple", "", 'a"b\\c', "tab\there", "äpfel", "箱-1", "emoji \U0001f34e")
+
+
+def odd_number(rng: random.Random) -> float:
+    """An entry of ODD_NUMBERS or a random float of any magnitude and sign."""
+    if rng.random() < 0.6:
+        return rng.choice(ODD_NUMBERS)
+    return rng.choice((1, -1)) * rng.random() * 10.0 ** rng.randint(-320, 308)
