@@ -124,22 +124,24 @@ def build_parser() -> argparse.ArgumentParser:
     Every call of main parses with this one shared parser, so callers must
     not mutate it.
     """
+    width = argparse.ArgumentParser(add_help=False)
+    width.add_argument("--window-width", type=int, default=15)
+    knowledge = argparse.ArgumentParser(add_help=False)
+    knowledge.add_argument("--corpus", default=str(fixtures.corpus_path()))
+    knowledge.add_argument("--lexicon", default=str(fixtures.lexicon_path()))
+    pipeline = argparse.ArgumentParser(add_help=False, parents=[knowledge, width])
+    pipeline.add_argument("--calibration", default=str(fixtures.calibration_path()))
     parser = argparse.ArgumentParser(prog="demoplan", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_filter = sub.add_parser("filter", help="extract key actions from a JSONL label stream")
+    p_filter = sub.add_parser("filter", parents=[width], help="extract key actions from a JSONL label stream")
     p_filter.add_argument("--labels", required=True, help="JSONL label stream")
-    p_filter.add_argument("--window-width", type=int, default=15)
     p_filter.add_argument("--out", help="write the key sequence JSON here")
     p_filter.set_defaults(func=cmd_filter)
 
-    p_plan = sub.add_parser("plan", help="bind a label stream to scene objects")
+    p_plan = sub.add_parser("plan", parents=[pipeline], help="bind a label stream to scene objects")
     p_plan.add_argument("--labels", required=True)
     p_plan.add_argument("--masks", required=True)
-    p_plan.add_argument("--corpus", default=str(fixtures.corpus_path()))
-    p_plan.add_argument("--lexicon", default=str(fixtures.lexicon_path()))
-    p_plan.add_argument("--calibration", default=str(fixtures.calibration_path()))
-    p_plan.add_argument("--window-width", type=int, default=15)
     p_plan.add_argument("--out", help="write the bound plan JSON here")
     p_plan.set_defaults(func=cmd_plan)
 
@@ -149,21 +151,15 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--out", help="write the execution trace JSONL here")
     p_run.set_defaults(func=cmd_run)
 
-    p_bench = sub.add_parser("bench", help="noisy-stream benchmark over the fixture tasks")
+    p_bench = sub.add_parser("bench", parents=[pipeline], help="noisy-stream benchmark over the fixture tasks")
     p_bench.add_argument("--trials", type=int, default=10)
     p_bench.add_argument("--noise", type=float, default=0.0)
     p_bench.add_argument("--seed", type=int, default=0)
-    p_bench.add_argument("--window-width", type=int, default=15)
-    p_bench.add_argument("--corpus", default=str(fixtures.corpus_path()))
-    p_bench.add_argument("--lexicon", default=str(fixtures.lexicon_path()))
-    p_bench.add_argument("--calibration", default=str(fixtures.calibration_path()))
     p_bench.add_argument("--out", help="directory for bench.tsv and summary.json")
     p_bench.set_defaults(func=cmd_bench)
 
-    p_corpus = sub.add_parser("corpus", help="corpus utilities")
+    p_corpus = sub.add_parser("corpus", parents=[knowledge], help="corpus utilities")
     p_corpus.add_argument("action", choices=["stats"])
-    p_corpus.add_argument("--corpus", default=str(fixtures.corpus_path()))
-    p_corpus.add_argument("--lexicon", default=str(fixtures.lexicon_path()))
     p_corpus.set_defaults(func=cmd_corpus)
 
     return parser

@@ -540,14 +540,15 @@ def _deliver(final: WorldState, spec: TaskSpec, cfg: SimConfig) -> bool:
     return zone is not None and _near(_classes(final, spec.object_class), [(zone, zone.radius)])
 
 
-# each task kind: its success predicate on (final state, spec, thresholds), and the class fields the predicate reads
+# each task kind's whole schema: its success predicate on (final state, spec, thresholds), the fields
+# it must name (the classes the predicate reads, or a composite's parts), and the one bound it may take
 _SUCCESS = {
-    "composite": (_composite, ()),
-    "pick-place": (_pick_place, ("object_class", "target_class")),
-    "push-away": (_push_away, ("object_class", "target_class")),
-    "open-bottle": (_open_bottle, ("object_class",)),
-    "pour": (_pour, ("object_class", "target_class")),
-    "deliver": (_deliver, ("object_class",)),
+    "composite": (_composite, ("parts",), None),
+    "pick-place": (_pick_place, ("object_class", "target_class"), "containment_radius"),
+    "push-away": (_push_away, ("object_class", "target_class"), "separation"),
+    "open-bottle": (_open_bottle, ("object_class",), None),
+    "pour": (_pour, ("object_class", "target_class"), None),
+    "deliver": (_deliver, ("object_class",), None),
 }
 
 
@@ -570,20 +571,18 @@ def _task_from_json(doc: object, name: str = "task") -> TaskSpec:
     kind = text(doc["kind"], f"{name} kind")
     if kind not in _SUCCESS:
         raise ValueError(f"{name} kind: unknown task kind {kind!r}")
-    if not all(isinstance(doc.get(k), (str, type(None))) for k in ("object_class", "target_class")):
-        raise ValueError(f"{name} object_class and target_class must be strings")
-    for k in _SUCCESS[kind][1]:
+    _, names, bound = _SUCCESS[kind]
+    for k in doc:
+        if k != "kind" and k != bound and k not in names:
+            raise ValueError(f"{name} of kind {kind!r} takes no {k}")
+    for k in names:
         if doc.get(k) is None:
             raise ValueError(f"{name} of kind {kind!r} names no {k}")
-    bounds = {k: positive(doc[k], f"{name} {k}") for k in ("containment_radius", "separation") if doc.get(k) is not None}
-    parts = array(doc["parts"], f"{name} parts", nonempty=True) if kind == "composite" else ()
-    return TaskSpec(
-        kind=kind,
-        object_class=doc.get("object_class"),
-        target_class=doc.get("target_class"),
-        parts=tuple(_task_from_json(part, f"{name} part") for part in parts),
-        **bounds,
-    )
+    spec = {k: text(doc[k], f"{name} {k}") for k in names if k != "parts"}
+    if doc.get(bound) is not None:
+        spec[bound] = positive(doc[bound], f"{name} {bound}")
+    parts = array(doc["parts"], f"{name} parts", nonempty=True) if "parts" in names else ()
+    return TaskSpec(kind, parts=tuple(_task_from_json(part, f"{name} part") for part in parts), **spec)
 
 
 def load_scenario(path: str | Path) -> tuple[WorldState, TaskSpec, SimConfig]:
@@ -591,8 +590,9 @@ def load_scenario(path: str | Path) -> tuple[WorldState, TaskSpec, SimConfig]:
 
     A missing field, a field of the wrong JSON type, a non-finite number, a
     non-positive size, radius or threshold, a repeated object id, an object,
-    gripper start or delivery zone centred outside the workspace, or a
-    composite task without parts is a ValueError.
+    gripper start or delivery zone centred outside the workspace, a threshold
+    that is not a SimConfig field, an empty composite, or a task that lacks a
+    field of its kind's _SUCCESS entry or names any other is a ValueError.
     """
     doc = record(load_json(path, "scenario"), "scenario")
     width, height = (positive(v, "workspace size") for v in vector(doc["workspace"], 2, "workspace size"))
@@ -623,7 +623,10 @@ def load_scenario(path: str | Path) -> tuple[WorldState, TaskSpec, SimConfig]:
         zone = DeliveryZone(x=zx, y=zy, radius=positive(z["radius"], "delivery zone radius"))
     gx, gy = on_table(vector(doc.get("gripper_start", [0.0, 0.0]), 2, "gripper start"), "gripper start")
     thresholds = record(doc.get("thresholds", {}), "thresholds")
-    cfg = SimConfig(**{f.name: thresholds.get(f.name, f.default) for f in fields(SimConfig)})
+    for k in thresholds:
+        if k not in {f.name for f in fields(SimConfig)}:
+            raise ValueError(f"thresholds: unknown threshold {k!r}")
+    cfg = SimConfig(**thresholds)
     world = WorldState(width=width, height=height, objects=objects, gripper=Gripper(x=gx, y=gy), zone=zone)
     return world, _task_from_json(doc["task"]), cfg
 

@@ -1,5 +1,7 @@
+import argparse
 import contextlib
 import copy
+import dataclasses
 import functools
 import hashlib
 import io
@@ -14,6 +16,7 @@ from hypothesis import strategies as st
 
 from demoplan import fixtures
 from demoplan.cli import build_parser, main
+from demoplan.sim import _SUCCESS, SimConfig, TaskSpec
 
 
 def run_cli(*argv):
@@ -140,6 +143,32 @@ class TestSharedParser:
         assert not first_out.exists()
         assert alone[3][0] == "SystemExit(2)"
         assert alone[2][1] == '["idle", "pick", "idle"]\n' and alone[4][1] == '["idle"]\n'
+
+
+def test_each_subcommand_keeps_its_options():
+    """Every subcommand's option strings, each with its default and whether it is required."""
+    sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    options = {
+        name: {s: (a.default, a.required) for a in p._actions for s in a.option_strings}
+        for name, p in sub.choices.items()
+    }
+    helps = {"-h": (argparse.SUPPRESS, False), "--help": (argparse.SUPPRESS, False)}
+    knowledge = {"--corpus": (str(fixtures.corpus_path()), False), "--lexicon": (str(fixtures.lexicon_path()), False)}
+    pipeline = {**knowledge, "--calibration": (str(fixtures.calibration_path()), False), "--window-width": (15, False)}
+    assert options == {
+        "filter": {**helps, "--labels": (None, True), "--window-width": (15, False), "--out": (None, False)},
+        "plan": {**helps, **pipeline, "--labels": (None, True), "--masks": (None, True), "--out": (None, False)},
+        "run": {**helps, "--plan": (None, True), "--scenario": (None, True), "--out": (None, False)},
+        "bench": {
+            **helps,
+            **pipeline,
+            "--trials": (10, False),
+            "--noise": (0.0, False),
+            "--seed": (0, False),
+            "--out": (None, False),
+        },
+        "corpus": {**helps, **knowledge},
+    }
 
 
 class TestPlan:
@@ -494,7 +523,6 @@ class TestRun:
             (("thresholds", "reach"), -1),
             (("thresholds", "contact"), 0),
             (("task", "containment_radius"), -1),
-            (("task", "separation"), 0),
             (("delivery_zone",), {"pose": [0.5, 0.5], "radius": -1}),
         ],
     )
@@ -507,6 +535,22 @@ class TestRun:
 
         code = self.run_edited_scenario(tmp_path, pick_place_plan, edit)
         assert "must be positive" in assert_parse_error(code, capsys)
+
+    def test_non_positive_separation_exits_2(self, capsys, tmp_path):
+        plan = tmp_path / "plan.json"
+        labels, masks = fixtures.labels_path("push_away"), fixtures.masks_path("push_away")
+        assert run_cli("plan", "--labels", str(labels), "--masks", str(masks), "--out", str(plan)) == 0
+        doc = json.loads(fixtures.scenario_path("push_away").read_text())
+        doc["task"]["separation"] = 0
+        scenario = tmp_path / "scenario.json"
+        scenario.write_text(json.dumps(doc))
+        code = run_cli("run", "--plan", str(plan), "--scenario", str(scenario))
+        assert "task separation must be positive" in assert_parse_error(code, capsys)
+
+    def test_unknown_threshold_exits_2(self, capsys, tmp_path, pick_place_plan):
+        thresholds = {"rech": 0.5, "contact": 0.04}
+        code = self.run_edited_scenario(tmp_path, pick_place_plan, lambda doc: doc.update(thresholds=thresholds))
+        assert "unknown threshold 'rech'" in assert_parse_error(code, capsys)
 
     def test_gripper_start_outside_workspace_exits_2(self, capsys, tmp_path, pick_place_plan):
         code = self.run_edited_scenario(tmp_path, pick_place_plan, lambda doc: doc.update(gripper_start=[5, 5]))
@@ -523,6 +567,55 @@ class TestRun:
         plan.write_text(json.dumps(steps))
         code = run_cli("run", "--plan", str(plan), "--scenario", str(fixtures.scenario_path("pick_place")))
         assert "plan is missing field 'primitive'" in assert_parse_error(code, capsys)
+
+
+# a value of each task field that the pick_place fixture world and plan can score
+TASK_FIELD_VALUES = {
+    "object_class": "banana",
+    "target_class": "plastic-box",
+    "containment_radius": 0.05,
+    "separation": 0.05,
+    "parts": [{"kind": "deliver", "object_class": "banana"}],
+}
+
+
+class TestTaskFields:
+    """A task loads exactly the fields of its kind's sim._SUCCESS entry; any other exits 2 naming it."""
+
+    @staticmethod
+    def run_task(tmp_path, plan, task):
+        doc = json.loads(fixtures.scenario_path("pick_place").read_text())
+        scenario = tmp_path / "scenario.json"
+        scenario.write_text(json.dumps({**doc, "task": task}))
+        return run_cli("run", "--plan", str(plan), "--scenario", str(scenario))
+
+    @pytest.mark.parametrize("null", [False, True], ids=["value", "null"])
+    @pytest.mark.parametrize("field", [f.name for f in dataclasses.fields(TaskSpec) if f.name != "kind"])
+    @pytest.mark.parametrize("kind", sorted(_SUCCESS))
+    def test_a_kind_loads_its_entry_s_fields_and_refuses_any_other(
+        self, capsys, tmp_path, pick_place_plan, kind, field, null
+    ):
+        _, names, bound = _SUCCESS[kind]
+        task = {"kind": kind, **{k: TASK_FIELD_VALUES[k] for k in names}}
+        task[field] = None if null else TASK_FIELD_VALUES[field]
+        code = self.run_task(tmp_path, pick_place_plan, task)
+        if field != bound and field not in names:
+            assert f"task of kind {kind!r} takes no {field}" in assert_parse_error(code, capsys)
+        elif null and field in names:
+            assert f"task of kind {kind!r} names no {field}" in assert_parse_error(code, capsys)
+        else:  # a null bound is not given
+            assert code in (0, 1) and capsys.readouterr().err == ""
+
+    def test_a_pick_place_separation_is_refused_whatever_its_value(self, capsys, tmp_path, pick_place_plan):
+        task = json.loads(fixtures.scenario_path("pick_place").read_text())["task"]
+        code = self.run_task(tmp_path, pick_place_plan, {**task, "separation": 0})
+        assert "task of kind 'pick-place' takes no separation" in assert_parse_error(code, capsys)
+
+    def test_a_stray_part_field_names_the_part(self, capsys, tmp_path, pick_place_plan):
+        task = {"kind": "composite", "parts": [{"kind": "deliver", "object_class": "banana", "target_class": "box"}]}
+        code = self.run_task(tmp_path, pick_place_plan, task)
+        assert "task part of kind 'deliver' takes no target_class" in assert_parse_error(code, capsys)
+
 
 class TestBench:
     def test_deterministic_outputs(self, capsys, tmp_path):
@@ -636,6 +729,9 @@ def test_unwritable_out_exits_2(capsys, tmp_path, argv, target):
 
 FUZZ_VALUES = [[], [1], True, "x", None, math.nan, -1, {}, math.inf]  # a JSON 1e400 reads as inf
 DELETE = object()
+ADD = object()
+# names an added field takes: one no reader knows, and every task and threshold field
+ADDED_NAMES = ["extra", *(f.name for cls in (TaskSpec, SimConfig) for f in dataclasses.fields(cls))]
 
 
 @pytest.fixture(scope="module")
@@ -670,12 +766,16 @@ def field_paths(node, prefix=()):
 @settings(max_examples=200, deadline=None)
 @given(data=st.data())
 def test_damaged_document_exits_with_a_documented_code(fuzz_inputs, data):
-    """Delete or retype one field of one document: the CLI ends in 0..4, and exit 2 prints one line."""
+    """Delete, retype or add one field of one document: the CLI ends in 0..4, and exit 2 prints one line."""
     tmp, readers, docs = fuzz_inputs
     flag = data.draw(st.sampled_from(sorted(docs)))
     doc = copy.deepcopy(docs[flag])
     path = data.draw(st.sampled_from(list(field_paths(doc))))
-    value = data.draw(st.sampled_from([DELETE, *FUZZ_VALUES]))
+    value = data.draw(st.sampled_from([DELETE, ADD, *FUZZ_VALUES]))
+    if value is ADD:  # set a named field beside one of some object's fields
+        beside = data.draw(st.sampled_from([p for p in field_paths(doc) if isinstance(p[-1], str)]))
+        path = (*beside[:-1], data.draw(st.sampled_from(ADDED_NAMES)))
+        value = data.draw(st.sampled_from([*FUZZ_VALUES, 0.5, "banana"]))
     node = functools.reduce(operator.getitem, path[:-1], doc)
     if value is DELETE:
         del node[path[-1]]

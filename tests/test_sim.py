@@ -3,7 +3,7 @@ import json
 import math
 import random
 from collections import Counter
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import pytest
 from worldgen import ODD_NAMES, odd_number, random_action, random_world
@@ -449,6 +449,48 @@ class TestCheckSuccess:
         w = world_with({"a-0": obj("apple", 0.5, 0.5)})
         assert not self.holds(w, TaskSpec("deliver", "apple"))
         assert self.holds(replace(w, zone=DeliveryZone(0.5, 0.5, 0.05)), TaskSpec("deliver", "apple"))
+
+
+class Unread:
+    """A task field value that raises when it is compared, added, hashed, iterated or tested for truth."""
+
+    def _read(self, *args):
+        raise AssertionError("a predicate read a task field its _SUCCESS entry does not name")
+
+    __eq__ = __ne__ = __lt__ = __le__ = __gt__ = __ge__ = __hash__ = _read
+    __add__ = __radd__ = __sub__ = __rsub__ = __iter__ = __bool__ = __float__ = _read
+
+
+class TestSuccessTable:
+    """Each kind's predicate reads only the task fields its _SUCCESS entry names."""
+
+    CLASSES = {"object_class": "apple", "target_class": "bowl"}
+
+    def spec(self, kind, bound_given):
+        """A spec of the kind whose entry's fields hold values and whose every other field is an Unread.
+
+        An ungiven bound is None; a composite's parts are one spec of each other kind.
+        """
+        _, names, bound = sim._SUCCESS[kind]
+        values = {f.name: Unread() for f in fields(TaskSpec) if f.name != "kind"}
+        for k in names:
+            if k == "parts":
+                values[k] = tuple(self.spec(part, bound_given) for part in sorted(sim._SUCCESS) if part != kind)
+            else:
+                values[k] = self.CLASSES[k]
+        if bound is not None:
+            values[bound] = 0.05 if bound_given else None
+        return TaskSpec(kind, **values)
+
+    @pytest.mark.parametrize("bound_given", [True, False], ids=["bound", "no_bound"])
+    @pytest.mark.parametrize("kind", sorted(sim._SUCCESS))
+    def test_a_predicate_reads_only_its_entry_s_fields(self, kind, bound_given):
+        apple = replace(obj("apple", 0.5, 0.5), opened=True)
+        objects = {"a-0": apple, "bowl-0": obj("bowl", 0.52, 0.5, kind=CONTAINER)}
+        w = world_with(objects, zone=DeliveryZone(0.5, 0.5, 0.1))
+        w = replace(w, poured={("a-0", "bowl-0")})
+        # every kind holds in this world, so a composite scores each of its parts
+        assert check_success(ExecutionTrace(()), w, self.spec(kind, bound_given), CFG)
 
 
 class TestSimConfig:
