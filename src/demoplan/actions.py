@@ -136,8 +136,10 @@ def window_filter(stream: PrimitiveStream, w: int) -> KeySequence:
     # Perreault & Hebert 2007). Each label keeps a deque of its positions
     # inside the window: the length is its count and the head its first
     # occurrence, so window_mode's winner is the largest (count, head). A
-    # slide moves one frame out and one in; the mode needs a full rescan
-    # only when one of its frames leaves and another label's enters.
+    # slide moves one frame out and one in. The mode stays when the frame in
+    # is its own, or when it still holds more than half of the w+1 frames, for
+    # then no other label can tie it. Otherwise it needs a full rescan if one
+    # of its frames left, and else only a comparison with the label that entered.
     at = {p: deque() for p in dict.fromkeys(frames)}
     queues = list(at.values())
     label = {id(q): p for p, q in at.items()}
@@ -146,16 +148,19 @@ def window_filter(stream: PrimitiveStream, w: int) -> KeySequence:
         at[p].append(j)
     keys = [window_mode(first)]
     mq = at[keys[0]]
+    half = (w + 1) // 2
     slides = zip(map(at.__getitem__, frames), map(at.__getitem__, islice(frames, w + 1, None)))
     for j, (out, into) in enumerate(slides, start=w + 1):
         out.popleft()
         into.append(j)
-        if out is mq and into is not mq:
+        if into is mq or len(mq) > half:
+            continue
+        if out is mq:
             best = (0, 0)
             for q in queues:
                 if q and (len(q), q[0]) > best:
                     best, mq = (len(q), q[0]), q
-        elif into is not mq and (len(into), into[0]) > (len(mq), mq[0]):
+        elif (len(into), into[0]) > (len(mq), mq[0]):
             mq = into
         else:
             continue

@@ -12,7 +12,8 @@ returns the checked value or raises one ValueError that names the field:
   positive  a number greater than zero.
   vector    a list of exactly n numbers, as a tuple of floats.
   array     a list, optionally non-empty.
-  record    a JSON object.
+  record    a JSON object; given the keys it may hold, one with any other
+            key is refused in words such as "calibration takes no sclae".
   text      a JSON string; a number, a boolean, null, a list or an object is
             refused, never coerced with str().
   flag      a JSON boolean; a string such as "false", a number, null, a list
@@ -26,6 +27,7 @@ import json
 import math
 from functools import cache
 from pathlib import Path
+from typing import Collection
 
 from .actions import ActionPrimitive
 
@@ -96,9 +98,13 @@ def array(value: object, name: str, nonempty: bool = False) -> list:
     return value
 
 
-def record(value: object, name: str) -> dict:
+def record(value: object, name: str, keys: Collection[str] | None = None) -> dict:
     if not isinstance(value, dict):
         raise ValueError(f"{name} must be an object, not {_kind(value)}")
+    if keys is not None:
+        for k in value:
+            if k not in keys:
+                raise ValueError(f"{name} takes no {k}")
     return value
 
 

@@ -199,7 +199,7 @@ def load_corpus(path: str | Path) -> list[str]:
 
 
 def load_lexicon(path: str | Path) -> Lexicon:
-    doc = record(load_json(path, "lexicon"), "lexicon")
+    doc = record(load_json(path, "lexicon"), "lexicon", ("verbs", "objects"))
     table = record(doc["verbs"], "lexicon verbs")
     spelled: dict[str, str] = {}
     for v in table:

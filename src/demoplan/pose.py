@@ -187,12 +187,14 @@ def load_mask_file(path: str | Path) -> DetectedScene:
     pixels, or "rle_rows", row run-length encoding as [y, x_start, run_len]
     triples, all JSON ints. Both reduce to the same moments and therefore
     the same pose. Duplicate pixels, and runs that overlap within a row, are
-    rejected.
+    rejected, and so is a key other than image_size and objects, or in an
+    object other than class and its encoding.
     """
-    doc = record(load_json(path, "mask file"), "mask file")
+    doc = record(load_json(path, "mask file"), "mask file", ("image_size", "objects"))
     masks: list[Mask] = []
     for i, obj in enumerate(array(doc["objects"], "mask file objects")):
-        name = text(record(obj, f"mask object {i}")["class"], f"mask object {i} class")
+        obj = record(obj, f"mask object {i}", ("class", "points", "rle_rows"))
+        name = text(obj["class"], f"mask object {i} class")
         what = f"object {i} ({name})"
         if ("points" in obj) == ("rle_rows" in obj):
             raise ValueError(f"{what} needs exactly one of 'points' and 'rle_rows'")
@@ -215,8 +217,11 @@ def load_mask_file(path: str | Path) -> DetectedScene:
 
 
 def load_calibration(path: str | Path) -> Calibration:
-    """Read a calibration file; an image_size, which nothing reads, must still be a pair when given."""
-    doc = record(load_json(path, "calibration"), "calibration")
+    """Read a calibration file; an image_size, which nothing reads, must still be a pair when given.
+
+    A key other than scale, origin and image_size is a ValueError that names it.
+    """
+    doc = record(load_json(path, "calibration"), "calibration", ("scale", "origin", "image_size"))
     scale = positive(doc["scale"], "calibration scale")
     origin = vector(doc["origin"], 2, "calibration origin")
     if "image_size" in doc:

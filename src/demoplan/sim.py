@@ -32,7 +32,6 @@ import hashlib
 import json
 import math
 from dataclasses import dataclass, field, fields
-from functools import cached_property
 from json.encoder import encode_basestring_ascii as _quote
 from pathlib import Path
 from types import MappingProxyType
@@ -49,6 +48,25 @@ BOTTLE = "bottle"
 KINDS = (ITEM, CONTAINER, BOTTLE)
 
 _SEP_TOL = 1e-9
+
+
+class _cached:
+    """functools.cached_property without its lock: the first read stores the value in the instance's dict.
+
+    A later read finds it there before the descriptor, which has no __set__. On
+    Python 3.11 cached_property takes an RLock on every first read, which costs
+    as much as the encoding it guards here. Two threads that read it at once
+    may both compute it; the instance is frozen, so both store equal values.
+    """
+
+    def __init__(self, method):
+        self.method, self.__doc__ = method, method.__doc__
+
+    def __get__(self, instance, owner=None):
+        if instance is None:
+            return self
+        value = instance.__dict__[self.method.__name__] = self.method(instance)
+        return value
 
 
 @dataclass(frozen=True)
@@ -79,16 +97,22 @@ class SimObject:
     turned: float = 0.0
     opened: bool = False
 
-    @cached_property
+    @_cached
     def _entry(self) -> str:
-        """This object's list in the digest document, encoded once per instance.
+        """json.dumps([class_name, x, y, theta, radius, kind, turned, opened]), spliced once per instance.
 
         The cache is keyed on the instance, never on the value: -0.0 == 0.0,
         but the two encode differently. The simulator builds a moved or turned
-        object as a new instance, so a changed object is encoded again.
+        object as a new instance, so a changed object is encoded again. The
+        numbers are written as _head writes them; an entry with NaN, an
+        infinity or an opened that is not a bool is written by json.dumps.
         """
-        return json.dumps(
-            [self.class_name, self.x, self.y, self.theta, self.radius, self.kind, self.turned, self.opened]
+        x, y, theta, radius, turned, opened = self.x, self.y, self.theta, self.radius, self.turned, self.opened
+        if not (x - x == y - y == theta - theta == radius - radius == turned - turned == 0 and type(opened) is bool):
+            return json.dumps([self.class_name, x, y, theta, radius, self.kind, turned, opened])
+        return (
+            f"[{_quote(self.class_name)}, {x!r}, {y!r}, {theta!r}, {radius!r}, {_quote(self.kind)}, {turned!r}, "
+            f'{"true" if opened else "false"}]'
         )
 
 
@@ -121,10 +145,11 @@ class WorldState:
     nor a write through the views can change a state. Its digest is
     therefore computed once per instance and cached, as are its encoded
     fragments: inside, poured, the objects (joined from each object's cached
-    entry) and the frame of height, width and zone. A constructed state
+    entry), the id order (each object id in sorted order with its encoded
+    key) and the frame of height, width and zone. A constructed state
     starts with empty caches. successor(), which apply_primitive uses,
     copies only what a step passes anew and hands on every other field and
-    fragment as it is.
+    fragment as it is; it keeps the id order for new objects with the same ids.
     """
 
     width: float
@@ -149,36 +174,48 @@ class WorldState:
         object, the objects and inside views included, and so does each cached
         fragment none of whose fields changed. A field is unchanged only as the
         same object (is, not ==): -0.0 == 0.0, but the two encode differently.
+        The id order is kept while the ids are equal, for equal strings encode alike.
         """
         state = self.__dict__.copy()  # the fields and the cached fragments; _digest is never handed on
         state.pop("_digest", None)
         for f, value in changes.items():
             if value is not state[f]:
                 view = _VIEW.get(f)
-                state[f] = value if view is None else view(value)
+                value = value if view is None else view(value)
+                if f == "objects" and value.keys() != state[f].keys():
+                    state.pop("_order", None)
+                state[f] = value
                 state.pop(_FRAGMENT.get(f), None)
         nxt = object.__new__(WorldState)
         vars(nxt).update(state)
         return nxt
 
-    @cached_property
+    @_cached
     def _inside(self) -> str:
-        return json.dumps(dict(sorted(self.inside.items())))
+        """json.dumps(dict(sorted(inside.items()))), spliced."""
+        return "{%s}" % ", ".join([f"{_quote(oid)}: {_quote(cid)}" for oid, cid in sorted(self.inside.items())])
 
-    @cached_property
+    @_cached
     def _poured(self) -> str:
-        return json.dumps(sorted(self.poured))
+        """json.dumps(sorted(poured)), spliced."""
+        return "[%s]" % ", ".join([f"[{_quote(src)}, {_quote(dst)}]" for src, dst in sorted(self.poured)])
 
-    @cached_property
+    @_cached
+    def _order(self) -> tuple[tuple[str, str], ...]:
+        """Each object id in sorted order with its key in the objects document, '"id": '."""
+        return tuple((oid, f"{_quote(oid)}: ") for oid in sorted(self.objects))
+
+    @_cached
     def _objects(self) -> str:
-        return ", ".join(f"{_quote(oid)}: {o._entry}" for oid, o in sorted(self.objects.items()))
+        objects = self.objects
+        return ", ".join([key + objects[oid]._entry for oid, key in self._order])
 
-    @cached_property
+    @_cached
     def _frame(self) -> tuple[str, str, str]:
         z = self.zone
         return tuple(map(json.dumps, (self.height, self.width, None if z is None else [z.x, z.y, z.radius])))
 
-    @cached_property
+    @_cached
     def _digest(self) -> str:
         """The sha256 hex of the digest payload (see digest); only clock and gripper are encoded anew here."""
         height, width, zone = self._frame
@@ -572,9 +609,7 @@ def _task_from_json(doc: object, name: str = "task") -> TaskSpec:
     if kind not in _SUCCESS:
         raise ValueError(f"{name} kind: unknown task kind {kind!r}")
     _, names, bound = _SUCCESS[kind]
-    for k in doc:
-        if k != "kind" and k != bound and k not in names:
-            raise ValueError(f"{name} of kind {kind!r} takes no {k}")
+    record(doc, f"{name} of kind {kind!r}", ("kind", bound, *names))
     for k in names:
         if doc.get(k) is None:
             raise ValueError(f"{name} of kind {kind!r} names no {k}")

@@ -1,9 +1,11 @@
 import json
 import random
+from collections import deque
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from demoplan import actions
 from demoplan.actions import (
     ActionPrimitive,
     KeySequence,
@@ -157,6 +159,38 @@ class TestFilterMatchesDefinition:
         self.check((MOVE, PICK) * 20, w)
         self.check((IDLE, PICK, PICK, IDLE, MOVE, MOVE) * 8, w)
         self.check((IDLE,) * ((w + 1) // 2) + (PICK,) * (w + 1) + (IDLE,) * (w + 1), w)
+
+    @pytest.mark.parametrize("w", [5, 6, 7, 8])
+    @pytest.mark.parametrize("above", [-1, 0, 1])
+    def test_mode_at_half_the_window_and_one_above(self, w, above):
+        # w+1 is even for odd w: a mode of (w+1)//2 frames can then be tied, one more cannot
+        half = (w + 1) // 2
+        self.check((IDLE,) * (w + 1) + (PICK,) * (half + above) + (IDLE,) * (w + 1), w)
+        self.check((IDLE,) * (w + 1) + (PICK,) * (half + above) + (MOVE,) + (IDLE,) * (w + 1), w)
+        self.check((IDLE,) * (half + above) + (PICK,) * (w + 1 - half - above) + (MOVE,) * (w + 1), w)
+
+    @pytest.mark.parametrize("w", [6, 8])
+    def test_a_tie_the_entering_label_is_not_in(self, w):
+        # in an odd window the mode can lose its majority to a third label and tie a label whose first frame is later
+        half = (w + 1) // 2
+        frames = (IDLE,) * (w + 1 - half) + (PICK,) * half + (MOVE,) * 3 + (PICK,) * 3
+        assert window_mode(frames[1 : w + 2]) == PICK and frames[w + 1] == MOVE
+        self.check(frames, w)
+
+    def test_a_slide_that_brings_the_mode_a_frame_rescans_nothing(self, monkeypatch):
+        # with period w+1 each slide moves one label's frame out and the same label's in; the mode
+        # never holds a majority, and no queue is tested for emptiness, as a rescan would
+        tested = []
+
+        class Positions(deque):
+            def __bool__(self):
+                tested.append(self)
+                return len(self) > 0
+
+        monkeypatch.setattr(actions, "deque", Positions)
+        frames = (IDLE, IDLE, PICK, MOVE) * 30
+        assert window_filter(PrimitiveStream(frames), 3).keys == filter_by_definition(frames, 3) == (IDLE,)
+        assert tested == []
 
     @pytest.mark.parametrize("w", [1, 2, 15])
     def test_window_at_least_as_wide_as_the_stream(self, w):

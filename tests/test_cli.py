@@ -305,6 +305,29 @@ class TestPlan:
         )
         assert "calibration is missing field 'scale'" in assert_parse_error(code, capsys)
 
+    def test_a_stray_calibration_field_exits_2_naming_it(self, capsys, tmp_path):
+        cal = tmp_path / "cal.json"
+        cal.write_text(json.dumps({**json.loads(fixtures.calibration_path().read_text()), "sclae": 0.5}))
+        code = run_cli(
+            "plan",
+            "--labels", str(fixtures.labels_path("pick_place")),
+            "--masks", str(fixtures.masks_path("pick_place")),
+            "--calibration", str(cal),
+        )
+        assert "calibration takes no sclae" in assert_parse_error(code, capsys)
+
+    @pytest.mark.parametrize("where", ["top", "object"])
+    def test_a_stray_mask_field_exits_2_naming_it(self, capsys, tmp_path, where):
+        doc = json.loads(fixtures.masks_path("pick_place").read_text())
+        if where == "top":
+            doc["extra"], words = 1, "mask file takes no extra"
+        else:
+            doc["objects"][1]["clas"], words = "apple", "mask object 1 takes no clas"
+        masks = tmp_path / "masks.json"
+        masks.write_text(json.dumps(doc))
+        code = run_cli("plan", "--labels", str(fixtures.labels_path("pick_place")), "--masks", str(masks))
+        assert words in assert_parse_error(code, capsys)
+
     @pytest.mark.parametrize(
         "option, document, text",
         [
@@ -708,6 +731,12 @@ class TestCorpusStats:
         lexicon = tmp_path / "lexicon.json"
         lexicon.write_text(json.dumps(doc))
         assert "lexicon" in assert_parse_error(run_cli("corpus", "stats", "--lexicon", str(lexicon)), capsys)
+
+    def test_a_stray_lexicon_field_exits_2_naming_it(self, tmp_path, capsys):
+        lexicon = tmp_path / "lexicon.json"
+        lexicon.write_text(json.dumps({**json.loads(fixtures.lexicon_path().read_text()), "verb": {"grab": "pick"}}))
+        code = run_cli("corpus", "stats", "--lexicon", str(lexicon))
+        assert "lexicon takes no verb" in assert_parse_error(code, capsys)
 
 
 @pytest.mark.parametrize(

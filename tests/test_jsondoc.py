@@ -1,6 +1,6 @@
 import pytest
 
-from demoplan.jsondoc import load_json
+from demoplan.jsondoc import load_json, record
 
 
 def test_the_missing_field_class_is_made_once_per_document_name(tmp_path):
@@ -14,3 +14,11 @@ def test_the_missing_field_class_is_made_once_per_document_name(tmp_path):
         first["a"]["c"]
     with pytest.raises(ValueError, match=r"^plan is missing field 'c'$"):
         plan["c"]
+
+
+def test_a_record_given_its_keys_refuses_any_other_by_name():
+    doc = {"scale": 1, "origin": [0, 0]}
+    assert record(doc, "calibration", ("scale", "origin", "image_size")) is doc
+    assert record({**doc, "sclae": 2}, "calibration") is not None  # no keys given: any key is taken
+    with pytest.raises(ValueError, match=r"^calibration takes no sclae$"):
+        record({**doc, "sclae": 2}, "calibration", ("scale", "origin", "image_size"))

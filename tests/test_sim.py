@@ -736,6 +736,61 @@ class TestHeadEncoding:
                 assert digest(world) == plain_digest(world)
 
 
+class TestFragmentEncoding:
+    """An object's entry, inside and poured are spliced; each must be the text json.dumps writes for it."""
+
+    NUMBERS = (-0.0, 1e16, 3, 0.25, math.nan, math.inf, -math.inf)
+
+    def test_entries_against_json(self):
+        names = ('a"b\\c', "äpfel", "箱-1")
+        for i, number in enumerate(self.NUMBERS):
+            for field in ("x", "y", "theta", "radius", "turned"):
+                for opened in (False, True, 1, None):
+                    o = replace(obj(names[i % 3], 0.5, 0.5), **{field: number}, kind=names[i % 2], opened=opened)
+                    values = [o.class_name, o.x, o.y, o.theta, o.radius, o.kind, o.turned, o.opened]
+                    assert o._entry == json.dumps(values)
+
+    def test_inside_and_poured_against_json(self):
+        for ids in (("apple-0", "box-1"), ('a"b\\c', "箱-1"), ("äpfel-0", "tab\there")):
+            a, b = ids
+            world = replace(world_with({}), inside={b: a, a: b}, poured={(a, b), (b, a), (a, a)})
+            assert world._inside == json.dumps(dict(sorted(world.inside.items())))
+            assert world._poured == json.dumps(sorted(world.poured))
+        empty = world_with({})
+        assert (empty._inside, empty._poured) == ("{}", "[]")
+
+    def test_odd_objects_digest_as_the_plain_encoding(self):
+        for number in self.NUMBERS:
+            odd = replace(obj("箱", number, 0.2), turned=number)
+            world = world_with({'a"b\\c': odd, "äpfel-0": obj("äpfel", 0.3, 0.4)})
+            world = replace(world, inside={'a"b\\c': "äpfel-0"}, poured={("äpfel-0", 'a"b\\c')})
+            assert digest(world) == plain_digest(world)
+
+
+class TestIdOrder:
+    """A state hands its sorted id order on to a successor whose objects have the same ids."""
+
+    def test_a_step_that_moves_an_object_hands_the_order_on(self):
+        world = world_with({"box-1": obj("box", 0.5, 0.5, kind=CONTAINER), "apple-0": obj("apple", 0.05, 0.05)})
+        digest(world)
+        moved, reason = apply_primitive(world, BoundAction(PICK, primary=pose_at(world, "apple-0")), CFG)
+        moved, reason = apply_primitive(moved, BoundAction(MOVE, target=ObjectPose(0.3, 0.3, 0.0, "box")), CFG)
+        assert reason is None and moved.objects["apple-0"] != world.objects["apple-0"]
+        assert moved._order is world._order
+        assert digest(moved) == plain_digest(moved)
+
+    def test_other_ids_rebuild_the_order(self):
+        world = world_with({"box-1": obj("box", 0.5, 0.5, kind=CONTAINER), "apple-0": obj("apple", 0.1, 0.1)})
+        digest(world)
+        same = world.successor(objects={**world.objects, "apple-0": obj("apple", 0.2, 0.2)})
+        assert same._order is world._order and digest(same) == plain_digest(same)
+        for objects in ({**world.objects, "grape-2": obj("grape", 0.3, 0.3)}, {"apple-0": obj("apple", 0.1, 0.1)}):
+            other = world.successor(objects=objects)
+            assert other._order is not world._order
+            assert [oid for oid, _ in other._order] == sorted(objects)
+            assert digest(other) == plain_digest(other)
+
+
 def plain_trace(trace):
     """The trace as json.dumps writes each step's whole line in one go."""
     return "".join(
