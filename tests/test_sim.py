@@ -773,8 +773,9 @@ class TestIdOrder:
     def test_a_step_that_moves_an_object_hands_the_order_on(self):
         world = world_with({"box-1": obj("box", 0.5, 0.5, kind=CONTAINER), "apple-0": obj("apple", 0.05, 0.05)})
         digest(world)
-        moved, reason = apply_primitive(world, BoundAction(PICK, primary=pose_at(world, "apple-0")), CFG)
-        moved, reason = apply_primitive(moved, BoundAction(MOVE, target=ObjectPose(0.3, 0.3, 0.0, "box")), CFG)
+        held, reason = apply_primitive(world, BoundAction(PICK, primary=pose_at(world, "apple-0")), CFG)
+        assert reason is None
+        moved, reason = apply_primitive(held, BoundAction(MOVE, target=ObjectPose(0.3, 0.3, 0.0, "box")), CFG)
         assert reason is None and moved.objects["apple-0"] != world.objects["apple-0"]
         assert moved._order is world._order
         assert digest(moved) == plain_digest(moved)
