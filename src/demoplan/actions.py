@@ -49,6 +49,8 @@ class ActionPrimitive(str, Enum):
 
 PRIMITIVES: tuple[ActionPrimitive, ...] = tuple(ActionPrimitive)
 _BY_TOKEN = {p.value: p for p in PRIMITIVES}
+# each primitive's noise draws: the other six, in PRIMITIVES order
+_OTHERS = {p: tuple(q for q in PRIMITIVES if q != p) for p in PRIMITIVES}
 # The record form json.dumps writes; each space in the template stands for [ \t]*.
 _PLAIN = re.compile(
     r'\{ "frame" : (0|[1-9][0-9]{0,17}) , "label" : "(%s)" \}'.replace(" ", "[ \t]*") % "|".join(_BY_TOKEN)
@@ -140,17 +142,17 @@ def window_filter(stream: PrimitiveStream, w: int) -> KeySequence:
     # is its own, or when it still holds more than half of the w+1 frames, for
     # then no other label can tie it. Otherwise it needs a full rescan if one
     # of its frames left, and else only a comparison with the label that entered.
-    at = {p: deque() for p in dict.fromkeys(frames)}
+    # A label absent from the stream keeps an empty deque, which a rescan passes over.
+    at = {p: deque() for p in PRIMITIVES}
     queues = list(at.values())
     label = {id(q): p for p, q in at.items()}
-    first = frames[: w + 1]
-    for j, p in enumerate(first):
-        at[p].append(j)
-    keys = [window_mode(first)]
+    qs = list(map(at.__getitem__, frames))
+    for j, q in enumerate(qs[: w + 1]):
+        q.append(j)
+    keys = [window_mode(frames[: w + 1])]
     mq = at[keys[0]]
     half = (w + 1) // 2
-    slides = zip(map(at.__getitem__, frames), map(at.__getitem__, islice(frames, w + 1, None)))
-    for j, (out, into) in enumerate(slides, start=w + 1):
+    for j, (out, into) in enumerate(zip(qs, islice(qs, w + 1, None)), start=w + 1):
         out.popleft()
         into.append(j)
         if into is mq or len(mq) > half:
@@ -189,16 +191,11 @@ def synthesize_stream(
     if len(keys) == 0:
         raise ValueError("keys must be non-empty")
     rng = random.Random(seed)
-    frames: list[ActionPrimitive] = []
-    for key in keys:
-        frames.extend([key] * frames_per_key)
     out: list[ActionPrimitive] = []
-    for frame in frames:
-        if rng.random() < noise_rate:
-            others = [p for p in PRIMITIVES if p != frame]
-            out.append(others[rng.randrange(len(others))])
-        else:
-            out.append(frame)
+    for key in keys:
+        others = _OTHERS[key]
+        for _ in range(frames_per_key):
+            out.append(others[rng.randrange(len(others))] if rng.random() < noise_rate else key)
     return PrimitiveStream(tuple(out))
 
 

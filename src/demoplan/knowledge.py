@@ -40,14 +40,12 @@ class Lexicon:
 
     verbs: Mapping[str, ActionPrimitive]
     objects: frozenset[str]
+    max_phrase_len: int = field(init=False, repr=False, compare=False)  # tokens in the longest object name
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "verbs", dict(self.verbs))
         object.__setattr__(self, "objects", frozenset(self.objects))
-
-    @property
-    def max_phrase_len(self) -> int:
-        return max((len(o.split()) for o in self.objects), default=1)
+        object.__setattr__(self, "max_phrase_len", max((len(o.split()) for o in self.objects), default=1))
 
 
 @dataclass

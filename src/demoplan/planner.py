@@ -205,7 +205,7 @@ def _pose_to_json(pose: ObjectPose | None) -> dict | None:
 def _pose_from_json(doc: object, name: str) -> ObjectPose | None:
     if doc is None:
         return None
-    doc = record(doc, name)
+    doc = record(doc, name, ("x", "y", "theta", "class", "degenerate"))
     return ObjectPose(
         x=number(doc["x"], f"{name} x"),
         y=number(doc["y"], f"{name} y"),
@@ -261,9 +261,10 @@ def dump_plan(plan: BoundPlan, path: str | Path) -> None:
 
 
 def load_plan(path: str | Path) -> BoundPlan:
+    """Read a plan file; a step or pose key that plan_text does not write is a ValueError naming it."""
     steps = []
     for i, item in enumerate(array(load_json(path, "plan"), "plan")):
-        item = record(item, f"plan step {i}")
+        item = record(item, f"plan step {i}", ("primitive", "primary", "target", "confidence"))
         steps.append(
             BoundAction(
                 primitive=primitive(item["primitive"], f"plan step {i} primitive"),

@@ -35,7 +35,7 @@ from dataclasses import dataclass, field, fields
 from json.encoder import encode_basestring_ascii as _quote
 from pathlib import Path
 from types import MappingProxyType
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, NamedTuple
 
 from .actions import ActionPrimitive
 from .jsondoc import array, load_json, positive, record, text, vector
@@ -116,8 +116,7 @@ class SimObject:
         )
 
 
-@dataclass(frozen=True)
-class Gripper:
+class Gripper(NamedTuple):
     x: float
     y: float
     holding: str | None = None
@@ -258,8 +257,7 @@ class TaskSpec:
     parts: tuple["TaskSpec", ...] = ()
 
 
-@dataclass(frozen=True)
-class TraceStep:
+class TraceStep(NamedTuple):
     index: int
     action: BoundAction
     pre_digest: str
@@ -386,6 +384,90 @@ def _container(world: WorldState, act: BoundAction, verb: str, into: str) -> tup
     return held, cid
 
 
+def _move(world: WorldState, act: BoundAction, cfg: SimConfig) -> dict:
+    dest, zone, gripper = act.anchor(), world.zone, world.gripper
+    if dest is not None:
+        dx, dy = dest.x, dest.y
+    elif zone is not None:
+        dx, dy = zone.x, zone.y
+    else:
+        raise _Refused("move has no destination and the world has no delivery zone")
+    held = gripper.holding
+    objects = world.objects if held is None else _carry(world, _contents(world, held), dx, dy, "move")
+    handover = zone is not None and _dist(dx, dy, zone.x, zone.y) <= zone.radius
+    gripper = Gripper(dx, dy) if handover and held is not None else Gripper(dx, dy, held, gripper.closed)
+    return {"gripper": gripper, "objects": objects}
+
+
+def _pick(world: WorldState, act: BoundAction, cfg: SimConfig) -> dict:
+    if world.gripper.holding is not None:
+        raise _Refused(f"pick while holding {world.gripper.holding}")
+    oid = _find(world, act.primary)
+    obj = _reach(world, oid, cfg)
+    inside = {k: c for k, c in world.inside.items() if k != oid} if oid in world.inside else world.inside
+    return {"gripper": Gripper(obj.x, obj.y, oid, True), "inside": inside}
+
+
+def _place(world: WorldState, act: BoundAction, cfg: SimConfig) -> dict:
+    held, cid = _container(world, act, "place", "place")
+    contents = _contents(world, held)
+    if cid in contents:
+        raise _Refused(f"cannot place {held} into {cid}, which is inside it")
+    container = world.objects[cid]
+    objects = _carry(world, contents, container.x, container.y, "place")
+    inside = world.inside.copy()
+    inside[held] = cid
+    return {"objects": objects, "gripper": Gripper(container.x, container.y), "inside": inside}
+
+
+def _push(world: WorldState, act: BoundAction, cfg: SimConfig) -> dict:
+    gripper = world.gripper
+    if gripper.holding is not None:
+        raise _Refused("push while holding")  # the gripper body does the pushing
+    pid, tid = _find(world, act.primary), _find(world, act.target)
+    if pid == tid:
+        raise _Refused("push needs two distinct objects")
+    po, to = world.objects[pid], world.objects[tid]
+    d = _dist(po.x, po.y, to.x, to.y)
+    if d <= cfg.contact:  # SimConfig keeps contact positive, so d > 0 below
+        return {"gripper": Gripper(po.x, po.y, None, gripper.closed)}
+    ux, uy = (to.x - po.x) / d, (to.y - po.y) / d
+    nx, ny = to.x - cfg.contact * ux, to.y - cfg.contact * uy
+    group = {pid} | (_contents(world, pid) if po.kind == CONTAINER else set())
+    objects = _moved(world, _shift(world, group, nx - po.x, ny - po.y), "push would leave the workspace")
+    return {"objects": objects, "gripper": Gripper(nx, ny, None, gripper.closed)}
+
+
+def _tilt(world: WorldState, act: BoundAction, cfg: SimConfig) -> dict:
+    held, tid = _container(world, act, "tilt", "pour")
+    _reach(world, tid, cfg)
+    # pouring done: set the object down where it is and open the gripper
+    return {"poured": world.poured | {(held, tid)}, "gripper": Gripper(world.gripper.x, world.gripper.y)}
+
+
+def _rotate(world: WorldState, act: BoundAction, cfg: SimConfig) -> dict:
+    oid = _find(world, act.primary)
+    obj = world.objects[oid] if world.gripper.holding == oid else _reach(world, oid, cfg)
+    turned = obj.turned + cfg.cap_turn_angle
+    theta = (obj.theta + cfg.cap_turn_angle) % (2.0 * math.pi)
+    opened = obj.opened or turned >= cfg.open_turn_angle - _SEP_TOL
+    objects = world.objects.copy()
+    objects[oid] = SimObject(obj.class_name, obj.x, obj.y, theta, obj.radius, obj.kind, turned, opened)
+    return {"objects": objects}
+
+
+# each primitive's step: the state changes it makes, or _Refused with the reason
+_STEP = {
+    ActionPrimitive.IDLE: lambda world, act, cfg: {},
+    ActionPrimitive.MOVE: _move,
+    ActionPrimitive.PICK: _pick,
+    ActionPrimitive.PLACE: _place,
+    ActionPrimitive.PUSH: _push,
+    ActionPrimitive.TILT: _tilt,
+    ActionPrimitive.ROTATE: _rotate,
+}
+
+
 def apply_primitive(
     world: WorldState, act: BoundAction, cfg: SimConfig = SimConfig()
 ) -> tuple[WorldState, str | None]:
@@ -395,83 +477,11 @@ def apply_primitive(
     precondition failure. An empty slot is refused in the words of the
     planner's contract, after place and tilt refuse an empty gripper.
     """
-    p = act.primitive
-    gripper = world.gripper
     try:
         empty = unfilled(act)
-        if empty is not None and (gripper.holding is not None or not CONTRACTS[p].needs):
+        if empty is not None and (world.gripper.holding is not None or not CONTRACTS[act.primitive].needs):
             raise _Refused(empty)
-        if p == ActionPrimitive.IDLE:
-            changes = {}
-
-        elif p == ActionPrimitive.MOVE:
-            dest = act.anchor()
-            if dest is not None:
-                dx, dy = dest.x, dest.y
-            elif world.zone is not None:
-                dx, dy = world.zone.x, world.zone.y
-            else:
-                raise _Refused("move has no destination and the world has no delivery zone")
-            held = gripper.holding
-            objects = world.objects if held is None else _carry(world, _contents(world, held), dx, dy, "move")
-            handover = world.zone is not None and _dist(dx, dy, world.zone.x, world.zone.y) <= world.zone.radius
-            gripper = Gripper(dx, dy) if handover and held is not None else Gripper(dx, dy, held, gripper.closed)
-            changes = {"gripper": gripper, "objects": objects}
-
-        elif p == ActionPrimitive.PICK:
-            if gripper.holding is not None:
-                raise _Refused(f"pick while holding {gripper.holding}")
-            oid = _find(world, act.primary)
-            obj = _reach(world, oid, cfg)
-            inside = {k: c for k, c in world.inside.items() if k != oid} if oid in world.inside else world.inside
-            changes = {"gripper": Gripper(obj.x, obj.y, oid, True), "inside": inside}
-
-        elif p == ActionPrimitive.PLACE:
-            held, cid = _container(world, act, "place", "place")
-            contents = _contents(world, held)
-            if cid in contents:
-                raise _Refused(f"cannot place {held} into {cid}, which is inside it")
-            container = world.objects[cid]
-            objects = _carry(world, contents, container.x, container.y, "place")
-            inside = world.inside.copy()
-            inside[held] = cid
-            changes = {"objects": objects, "gripper": Gripper(container.x, container.y), "inside": inside}
-
-        elif p == ActionPrimitive.PUSH:
-            if gripper.holding is not None:
-                raise _Refused("push while holding")  # the gripper body does the pushing
-            pid, tid = _find(world, act.primary), _find(world, act.target)
-            if pid == tid:
-                raise _Refused("push needs two distinct objects")
-            po, to = world.objects[pid], world.objects[tid]
-            d = _dist(po.x, po.y, to.x, to.y)
-            if d <= cfg.contact:  # SimConfig keeps contact positive, so d > 0 below
-                changes = {"gripper": Gripper(po.x, po.y, None, gripper.closed)}
-            else:
-                ux, uy = (to.x - po.x) / d, (to.y - po.y) / d
-                nx, ny = to.x - cfg.contact * ux, to.y - cfg.contact * uy
-                group = {pid} | (_contents(world, pid) if po.kind == CONTAINER else set())
-                objects = _moved(world, _shift(world, group, nx - po.x, ny - po.y), "push would leave the workspace")
-                changes = {"objects": objects, "gripper": Gripper(nx, ny, None, gripper.closed)}
-
-        elif p == ActionPrimitive.TILT:
-            held, tid = _container(world, act, "tilt", "pour")
-            _reach(world, tid, cfg)
-            # pouring done: set the object down where it is and open the gripper
-            changes = {"poured": world.poured | {(held, tid)}, "gripper": Gripper(gripper.x, gripper.y)}
-
-        elif p == ActionPrimitive.ROTATE:
-            oid = _find(world, act.primary)
-            obj = world.objects[oid] if gripper.holding == oid else _reach(world, oid, cfg)
-            turned = obj.turned + cfg.cap_turn_angle
-            theta = (obj.theta + cfg.cap_turn_angle) % (2.0 * math.pi)
-            opened = obj.opened or turned >= cfg.open_turn_angle - _SEP_TOL
-            objects = world.objects.copy()
-            objects[oid] = SimObject(obj.class_name, obj.x, obj.y, theta, obj.radius, obj.kind, turned, opened)
-            changes = {"objects": objects}
-
-        else:  # pragma: no cover - the enum is closed
-            raise ValueError(f"unknown primitive {p!r}")
+        changes = _STEP[act.primitive](world, act, cfg)
     except _Refused as refused:
         return world, str(refused)
     return world.successor(clock=world.clock + 1, **changes), None

@@ -1,3 +1,4 @@
+import itertools
 import json
 import random
 from collections import deque
@@ -219,8 +220,48 @@ class TestFilterMatchesDefinition:
         for _ in range(30):
             self.check(noisy_runs(rng, 600, 0.10), w)
 
+    @pytest.mark.parametrize("w", range(1, 9))
+    @pytest.mark.parametrize("n_labels", [1, 2, 7])
+    def test_streams_that_use_only_some_primitives(self, w, n_labels):
+        # every primitive has a queue; those absent from the stream stay empty and must never be a key
+        rng = random.Random(100 * w + n_labels)
+        for _ in range(40):
+            used = rng.sample(PRIMITIVES, n_labels)
+            frames: list[ActionPrimitive] = []
+            while len(frames) < 80:
+                frames.extend([rng.choice(used)] * rng.randint(1, 2 * w))
+            frames = tuple(rng.choice(used) if rng.random() < 0.2 else f for f in frames)
+            self.check(frames, w)
+            assert set(window_filter(PrimitiveStream(frames), w).keys) <= set(used)
+
+
+def synthesize_by_reference(keys, frames_per_key, noise_rate, seed):
+    """The stream with each noisy frame's draw taken from a list of the other primitives built for that frame."""
+    rng = random.Random(seed)
+    out = []
+    for frame in [key for key in keys for _ in range(frames_per_key)]:
+        if rng.random() < noise_rate:
+            others = [p for p in PRIMITIVES if p != frame]
+            out.append(others[rng.randrange(len(others))])
+        else:
+            out.append(frame)
+    return tuple(out)
+
 
 class TestSynthesizeStream:
+    def test_each_primitive_draws_from_the_other_six_in_order(self):
+        assert list(actions._OTHERS) == list(PRIMITIVES)
+        for p in PRIMITIVES:
+            assert actions._OTHERS[p] == tuple(q for q in PRIMITIVES if q != p)
+
+    @pytest.mark.parametrize("noise", [0.0, 0.1, 0.5, 1.0])
+    def test_the_noise_draw_matches_the_reference(self, noise):
+        rng = random.Random(noise)
+        for seed in range(300):
+            keys = KeySequence(tuple(k for k, _ in itertools.groupby(rng.choices(PRIMITIVES, k=rng.randint(1, 8)))))
+            fpk = rng.randint(1, 40)
+            assert synthesize_stream(keys, fpk, noise, seed).frames == synthesize_by_reference(keys, fpk, noise, seed)
+
     def test_zero_noise_single_key(self):
         keys = KeySequence((PICK,))
         stream = synthesize_stream(keys, 5, 0.0, seed=99)

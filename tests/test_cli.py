@@ -420,6 +420,18 @@ class TestRun:
         code = run_cli("run", "--plan", str(plan), "--scenario", str(fixtures.scenario_path("pick_place")))
         assert "plan step 0 " in assert_parse_error(code, capsys)
 
+    @pytest.mark.parametrize("where", ["step", "pose"])
+    def test_a_stray_plan_key_exits_2_naming_it(self, capsys, tmp_path, pick_place_plan, where):
+        steps = json.loads(pick_place_plan.read_text())
+        if where == "step":
+            steps[2]["primry"], words = steps[2]["primary"], "plan step 2 takes no primry"
+        else:
+            steps[2]["primary"]["clas"], words = "banana", "plan step 2 primary takes no clas"
+        plan = tmp_path / "stray.json"
+        plan.write_text(json.dumps(steps))
+        code = run_cli("run", "--plan", str(plan), "--scenario", str(fixtures.scenario_path("pick_place")))
+        assert words in assert_parse_error(code, capsys)
+
     @pytest.mark.parametrize(
         "task",
         [

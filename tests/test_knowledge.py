@@ -1,5 +1,6 @@
 import itertools
 import random
+from dataclasses import replace
 
 import pytest
 
@@ -56,6 +57,14 @@ class TestParseSentence:
     def test_multiword_objects_match_longest_first(self, lex):
         pairs = parse_sentence("set it on the white plate", lex)
         assert pairs == [(PLACE, "white plate")]
+
+    def test_the_longest_phrase_is_counted_once_per_lexicon(self, lex):
+        assert lex.max_phrase_len == max(len(o.split()) for o in lex.objects) == 2
+        longer = replace(lex, objects=lex.objects | {"big white plate"})
+        assert longer.max_phrase_len == 3 and longer == Lexicon(lex.verbs, lex.objects | {"big white plate"})
+        assert parse_sentence("pick the big white plate", longer) == [(PICK, "big white plate")]
+        assert parse_sentence("pick the big white plate", lex) == [(PICK, "white plate")]
+        assert Lexicon(verbs={}, objects=()).max_phrase_len == 1
 
     def test_hyphenated_object(self, lex):
         assert parse_sentence("open the blue-bottle", lex) == [(ROTATE, "blue-bottle")]

@@ -581,6 +581,30 @@ class TestReadOnlyState:
         assert digest(later) == plain_digest(later)
 
 
+class TestTupleRecords:
+    """Gripper and TraceStep are named tuples: read by field, never assigned."""
+
+    def test_a_gripper_defaults_to_empty_and_open(self):
+        g = Gripper(x=0.1, y=0.2)
+        assert (g.x, g.y, g.holding, g.closed) == (0.1, 0.2, None, False)
+        assert g == Gripper(0.1, 0.2, None, False) != Gripper(0.1, 0.2, "apple-0", True)
+
+    def test_a_trace_step_with_and_without_a_reason(self):
+        act = BoundAction(IDLE)
+        ok = TraceStep(0, act, "a", "b", "ok")
+        failed = TraceStep(index=1, action=act, pre_digest="b", post_digest="b", outcome="failed", reason="why")
+        assert ok.reason is None and (failed.index, failed.outcome, failed.reason) == (1, "failed", "why")
+        trace = ExecutionTrace((ok, failed))
+        assert not trace.all_ok and trace.failure is failed
+        assert trace_to_jsonl(trace) == plain_trace(trace)
+
+    def test_a_field_cannot_be_assigned(self):
+        g, step = Gripper(0.1, 0.2), TraceStep(0, BoundAction(IDLE), "a", "b", "ok")
+        for record, name in ((g, "x"), (g, "holding"), (step, "reason"), (step, "outcome")):
+            with pytest.raises(AttributeError):
+                setattr(record, name, None)
+
+
 class TestCheckInvariants:
     def test_each_broken_invariant_is_named(self):
         start = world_with(
