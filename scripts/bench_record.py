@@ -4,9 +4,13 @@
 For each workload, runs ``perfbench/run.py --workload W --seed 0 --seconds S``
 once with ``--trace 0`` (end-to-end metrics) and once with ``--trace 1``
 (per-layer metrics), and keeps the last JSON line of each run together with
-the output sha256 it printed. Then times three scale points through the
-package's public functions, each as the fastest of REPEATS runs and
-reported as a unit cost:
+the output sha256 and the reference task's fastest time (``reference_ms``)
+that it printed. perfbench scales its untraced timings by that time but not
+its traced per-layer figures, which follow the host's speed; multiply a
+traced time by ``7.5 / reference_ms`` (7.5 ms is perfbench's REFERENCE_NS)
+to compare it with one from another run. Then times three scale points
+through the package's public functions, each as the fastest of REPEATS runs
+and reported as a unit cost:
 
   labels  a seeded 30k-frame label stream, loaded and filtered (ns/frame)
   masks   the fixture masks upscaled 4x to 2400x2400 by perfbench's generator,
@@ -58,10 +62,11 @@ MASK_SCALE = 4
 STEPS = 10_000
 REPEATS = 5  # runs per scale point; the fastest counts
 SHA_LINE = re.compile(r"^\s*output sha256 ([0-9a-f]{64})$", re.M)
+REFERENCE_LINE = re.compile(r"^\s*reference task ([0-9.]+) ms at best", re.M)
 
 
 def run_workload(name: str, seconds: float, trace: int) -> dict:
-    """One perfbench run: its last JSON line plus the output sha256 printed above it."""
+    """One perfbench run: its last JSON line plus the output sha256 and reference time printed above it."""
     argv = ["--workload", name, "--seed", str(SEED), "--seconds", str(seconds), "--trace", str(trace)]
     proc = subprocess.run(
         [sys.executable, str(ROOT / "perfbench" / "run.py"), *argv], cwd=ROOT, capture_output=True, text=True
@@ -69,8 +74,8 @@ def run_workload(name: str, seconds: float, trace: int) -> dict:
     lines = proc.stdout.splitlines()
     if proc.returncode != 0 or not lines:
         raise SystemExit(f"bench_record: perfbench {' '.join(argv)} exited {proc.returncode}: {proc.stderr.strip()}")
-    sha = SHA_LINE.search(proc.stdout)
-    return {**json.loads(lines[-1]), "output_sha256": sha and sha.group(1)}
+    sha, ref = SHA_LINE.search(proc.stdout), REFERENCE_LINE.search(proc.stdout)
+    return {**json.loads(lines[-1]), "output_sha256": sha and sha.group(1), "reference_ms": ref and float(ref.group(1))}
 
 
 def fastest_ns(fn, repeats: int) -> int:

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import json
 import random
-import re
 from collections import deque
 from dataclasses import dataclass
 from enum import Enum
@@ -51,10 +50,11 @@ PRIMITIVES: tuple[ActionPrimitive, ...] = tuple(ActionPrimitive)
 _BY_TOKEN = {p.value: p for p in PRIMITIVES}
 # each primitive's noise draws: the other six, in PRIMITIVES order
 _OTHERS = {p: tuple(q for q in PRIMITIVES if q != p) for p in PRIMITIVES}
-# The record form json.dumps writes; each space in the template stands for [ \t]*.
-_PLAIN = re.compile(
-    r'\{ "frame" : (0|[1-9][0-9]{0,17}) , "label" : "(%s)" \}'.replace(" ", "[ \t]*") % "|".join(_BY_TOKEN)
-)
+# One record as dump_label_stream writes it; json.dumps(..., sort_keys=True) gives the same text.
+_LINE = '{"frame": %d, "label": "%s"}\n'
+# each token's line ends in these nine characters before its newline
+_TAIL = {(_LINE % (0, t))[-10:-1]: t for t in _BY_TOKEN}
+_BLOCK = 4096  # load_label_stream reads whole lines until they pass this many characters
 
 
 @dataclass(frozen=True)
@@ -199,6 +199,13 @@ def synthesize_stream(
     return PrimitiveStream(tuple(out))
 
 
+def _lines(first: int, tokens: Sequence[str]) -> str:
+    """_LINE for each token in turn, numbered from frame `first`."""
+    fill: list = [None] * (2 * len(tokens))
+    fill[::2], fill[1::2] = range(first, first + len(tokens)), tokens
+    return _LINE * len(tokens) % tuple(fill)
+
+
 def load_label_stream(path: str | Path) -> PrimitiveStream:
     """Read a JSONL label stream: one {"frame": int, "label": str} per line.
 
@@ -206,50 +213,62 @@ def load_label_stream(path: str | Path) -> PrimitiveStream:
     the offending line number on any malformed record, including one nested
     too deeply or holding an int too long to convert.
 
-    A line that matches _PLAIN, the form json.dumps writes, is a JSON object
-    with exactly the keys "frame", a non-negative int of at most 18 digits,
-    and "label", one of the seven tokens; json.loads would read the same int
-    and string from it. Every other line is read by json.loads, once it is
-    known to hold no byte that is not UTF-8 (each decodes to a lone surrogate).
+    The file is read a block of whole lines at a time, never all at once and
+    never by seeking. A block that is exactly the text dump_label_stream
+    would write for its frames is taken whole. Any other block, such as one
+    in another JSON spelling, is read line by line by json.loads, with the
+    same records, errors and line numbers.
     """
     frames: list[ActionPrimitive] = []
+    lineno = 0
     with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line:
-                continue
-            plain = _PLAIN.fullmatch(line)
-            if plain:
-                frame, label = int(plain[1]), plain[2]
+        while block := fh.readlines(_BLOCK):
+            tokens = [_TAIL.get(line[-10:-1]) for line in block]
+            # a None would fill in as "None", a label a line can spell out
+            if None not in tokens and "".join(block) == _lines(len(frames), tokens):
+                frames.extend(map(_BY_TOKEN.__getitem__, tokens))
             else:
-                try:
-                    line.encode("utf-8")
-                    record = json.loads(line)
-                except UnicodeEncodeError:
-                    raise LabelStreamError(lineno, "not valid UTF-8") from None
-                except RecursionError:
-                    raise LabelStreamError(lineno, "JSON nested too deeply") from None
-                except ValueError as exc:  # a JSONDecodeError, or an int over Python's digit limit
-                    raise LabelStreamError(lineno, f"invalid JSON ({getattr(exc, 'msg', exc)})") from None
-                if not isinstance(record, dict) or "frame" not in record or "label" not in record:
-                    raise LabelStreamError(lineno, "record must carry 'frame' and 'label'")
-                frame, label = record["frame"], record["label"]
-            if type(frame) is not int or frame != len(frames):
-                raise LabelStreamError(lineno, f"frame {frame!r} breaks contiguous order (expected {len(frames)})")
-            try:
-                frames.append(_BY_TOKEN[label])
-            except (KeyError, TypeError):  # TypeError: a list or object label is unhashable
-                raise LabelStreamError(lineno, f"unknown action primitive {label!r}") from None
+                _load_lines(block, lineno, frames)
+            lineno += len(block)
     if not frames:
         raise LabelStreamError(1, "label stream is empty")
     return PrimitiveStream(tuple(frames))
 
 
+def _load_lines(lines: list[str], before: int, frames: list[ActionPrimitive]) -> None:
+    """Append the records of `lines`, which follow line `before`, to frames, one json.loads each.
+
+    A line is passed to json.loads once it is known to hold no byte that is
+    not UTF-8 (each decodes to a lone surrogate).
+    """
+    for lineno, raw in enumerate(lines, start=before + 1):
+        line = raw.strip()
+        if not line:
+            continue
+        try:
+            line.encode("utf-8")
+            record = json.loads(line)
+        except UnicodeEncodeError:
+            raise LabelStreamError(lineno, "not valid UTF-8") from None
+        except RecursionError:
+            raise LabelStreamError(lineno, "JSON nested too deeply") from None
+        except ValueError as exc:  # a JSONDecodeError, or an int over Python's digit limit
+            raise LabelStreamError(lineno, f"invalid JSON ({getattr(exc, 'msg', exc)})") from None
+        if not isinstance(record, dict) or "frame" not in record or "label" not in record:
+            raise LabelStreamError(lineno, "record must carry 'frame' and 'label'")
+        frame, label = record["frame"], record["label"]
+        if type(frame) is not int or frame != len(frames):
+            raise LabelStreamError(lineno, f"frame {frame!r} breaks contiguous order (expected {len(frames)})")
+        try:
+            frames.append(_BY_TOKEN[label])
+        except (KeyError, TypeError):  # TypeError: a list or object label is unhashable
+            raise LabelStreamError(lineno, f"unknown action primitive {label!r}") from None
+
+
 def dump_label_stream(stream: PrimitiveStream, path: str | Path) -> None:
-    """Write a stream in the JSONL label format accepted by load_label_stream."""
+    """Write a stream in the JSONL label format accepted by load_label_stream, one _LINE per frame."""
     with open(path, "w", encoding="utf-8") as fh:
-        for i, label in enumerate(stream.frames):
-            fh.write(json.dumps({"frame": i, "label": label.value}, sort_keys=True) + "\n")
+        fh.write(_lines(0, [p.value for p in stream.frames]))
 
 
 def keys_from_names(names: Iterable[str]) -> KeySequence:

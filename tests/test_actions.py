@@ -6,7 +6,7 @@ from collections import deque
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from demoplan import actions
+from demoplan import actions, fixtures
 from demoplan.actions import (
     ActionPrimitive,
     KeySequence,
@@ -521,3 +521,116 @@ class TestBulkLabelParse:
             assert outcome(load_label_stream, path) == expected, path.read_text()
             loaded += isinstance(expected, PrimitiveStream)
         assert 100 < loaded < 1900  # both the fast path and the error path were exercised
+
+
+def block_stream(n_blocks: int) -> list[str]:
+    """Template-form lines of a seeded stream long enough to fill n_blocks reads of actions._BLOCK."""
+    rng = random.Random(n_blocks)
+    return [actions._LINE % (i, rng.choice(PRIMITIVES).value) for i in range(n_blocks * actions._BLOCK // 28)]
+
+
+def block_sizes(path) -> list[int]:
+    """Lines in each block that load_label_stream reads from path."""
+    with open(path, "r", encoding="utf-8") as fh:
+        return [len(block) for block in iter(lambda: fh.readlines(actions._BLOCK), [])]
+
+
+class TestLabelBlocks:
+    @pytest.mark.parametrize("token", [p.value for p in PRIMITIVES])
+    def test_the_line_template_is_the_json_dumps_form(self, token):
+        for i in (0, 9, 10, 12345, 10**17):
+            assert actions._LINE % (i, token) == json.dumps({"frame": i, "label": token}, sort_keys=True) + "\n"
+
+    @pytest.mark.parametrize("task", fixtures.TASKS)
+    def test_redumping_a_fixture_label_file_reproduces_it(self, tmp_path, task):
+        path = tmp_path / "labels.jsonl"
+        dump_label_stream(load_label_stream(fixtures.labels_path(task)), path)
+        assert path.read_bytes() == fixtures.labels_path(task).read_bytes()
+
+    @staticmethod
+    def faults(line: str) -> list[str]:
+        """The line with a bad label, a wrong frame or broken JSON, each of the same length."""
+        record = json.loads(line)
+        frame = str(record["frame"])
+        wrong = frame[:-1] + str((int(frame[-1]) + 1) % 10)
+        return [
+            line.replace(f'"{record["label"]}"', f'"{record["label"][::-1]}"'),
+            line.replace(f'"frame": {frame},', f'"frame": {wrong},'),
+            line.replace("}", "]"),
+        ]
+
+    def test_a_fault_at_each_block_edge_matches_per_line_loop(self, tmp_path):
+        path = tmp_path / "labels.jsonl"
+        lines = block_stream(4)
+        path.write_text("".join(lines))
+        sizes = block_sizes(path)
+        assert len(sizes) >= 4
+        second, last = sizes[0], len(lines) - 1  # the second block's first line, the file's last
+        places = {0, second - 1, second, second + sizes[1] // 2, second + sizes[1] - 1, last - sizes[-1] // 2, last}
+        for i in sorted(places):
+            for bad in self.faults(lines[i]):
+                path.write_text("".join(lines[:i] + [bad] + lines[i + 1 :]))
+                assert block_sizes(path) == sizes
+                got = outcome(load_label_stream, path)
+                assert got == outcome(load_label_stream_per_line, path)
+                assert got[0] is LabelStreamError and got[2] == i + 1
+
+    def test_a_label_spelt_none_is_refused_by_line(self, tmp_path):
+        path = tmp_path / "labels.jsonl"
+        lines = block_stream(3)
+        path.write_text("".join(lines))
+        second = block_sizes(path)[0]
+        for i in (0, second, len(lines) - 1):
+            path.write_text("".join(lines[:i] + [actions._LINE % (i, "None")] + lines[i + 1 :]))
+            got = outcome(load_label_stream, path)
+            assert got == outcome(load_label_stream_per_line, path)
+            assert got == (LabelStreamError, f"line {i + 1}: unknown action primitive 'None'", i + 1)
+
+    def test_other_spellings_across_blocks_match_per_line_loop(self, tmp_path):
+        path = tmp_path / "labels.jsonl"
+        lines = block_stream(4)
+        path.write_text("".join(lines))
+        sizes = block_sizes(path)
+        edge, end = sizes[0], sizes[0] + sizes[1]  # the second block's bounds
+        compact = [json.dumps(json.loads(line), separators=(",", ":")) + "\n" for line in lines]
+        last = len(lines) - 2
+        bad = self.faults(lines[last])[0]
+        variants = {
+            "blank line between blocks": lines[:edge] + ["\n"] + lines[edge:],
+            "blank lines at both ends": ["\n"] + lines + ["  \n"],
+            "no final newline": lines[:-1] + [lines[-1].rstrip("\n")],
+            "crlf": [line.replace("\n", "\r\n") for line in lines],
+            "compact block 2": lines[:edge] + compact[edge:end] + lines[end:],
+            "compact block 2, a fault": lines[:edge] + compact[edge:end] + lines[end:last] + [bad, lines[-1]],
+        }
+        for name, text in variants.items():
+            path.write_bytes("".join(text).encode())
+            expected = outcome(load_label_stream_per_line, path)
+            assert outcome(load_label_stream, path) == expected, name
+            if name.endswith("a fault"):
+                assert expected[2] == last + 1
+            else:
+                assert len(expected) == len(lines), name
+
+    def test_a_template_form_stream_never_reaches_the_per_line_reader(self, tmp_path, monkeypatch):
+        calls = []
+        per_line = actions._load_lines
+
+        def spy(lines, *rest):
+            calls.append(len(lines))
+            return per_line(lines, *rest)
+
+        monkeypatch.setattr(actions, "_load_lines", spy)
+        keys = keys_from_names(["idle", "move", "pick", "move", "place", "tilt", "rotate", "push"])
+        stream = synthesize_stream(keys, 150, 0.1, seed=3)
+        path = tmp_path / "labels.jsonl"
+        dump_label_stream(stream, path)
+        assert len(block_sizes(path)) >= 3
+        assert load_label_stream(path) == stream
+        assert calls == []
+        # the spy sees a block in another spelling
+        text = path.read_text().splitlines(keepends=True)
+        text[-1] = text[-1].replace(", ", ",")
+        path.write_text("".join(text))
+        assert load_label_stream(path) == stream
+        assert len(calls) == 1

@@ -8,6 +8,8 @@ import io
 import json
 import math
 import operator
+import os
+import threading
 from pathlib import Path
 
 import pytest
@@ -15,6 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from demoplan import fixtures
+from demoplan.actions import dump_label_stream, keys_from_names, synthesize_stream
 from demoplan.cli import build_parser, main
 from demoplan.sim import _SUCCESS, SimConfig, TaskSpec
 
@@ -86,6 +89,23 @@ class TestFilter:
         text = json.dumps({"frame": 0, "label": "idle"}) + "\n" + line + "\n"
         labels.write_bytes(text.encode("utf-8", "surrogateescape"))
         assert "line 2: " in assert_parse_error(run_cli("filter", "--labels", str(labels)), capsys)
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+    def test_a_pipe_reads_as_the_file_does(self, capsys, tmp_path):
+        keys = keys_from_names(["idle", "move", "pick", "move", "place", "push", "tilt", "rotate"])
+        labels = tmp_path / "labels.jsonl"
+        dump_label_stream(synthesize_stream(keys, 150, 0.1, seed=4), labels)
+        assert run_cli("filter", "--labels", str(labels)) == 0
+        from_file = capsys.readouterr().out
+        fifo = tmp_path / "labels.fifo"
+        os.mkfifo(fifo)
+        writer = threading.Thread(target=fifo.write_bytes, args=(labels.read_bytes(),), daemon=True)
+        writer.start()
+        assert run_cli("filter", "--labels", str(fifo)) == 0
+        writer.join(timeout=10)
+        assert not writer.is_alive()
+        assert capsys.readouterr().out == from_file
+        assert json.loads(from_file)[:3] == ["idle", "move", "pick"]
 
     def test_window_width_flag(self, capsys, tmp_path):
         labels = tmp_path / "short.jsonl"

@@ -63,6 +63,7 @@ class TestBenchRecord:
         for run in runs.values():
             assert run["correct"] and run["failed"] == 0
             assert len(run["output_sha256"]) == 64
+            assert run["reference_ms"] > 0
         assert sorted(runs["untraced"]["metrics"]) == sorted(
             ["setup_s", "ops_per_s", "op_ms_p50", "op_ms_p90", "peak_rss_mb", "task_success_rate"]
         )
