@@ -34,6 +34,13 @@ def main() -> None:
         "--levels", type=float, nargs="*", default=list(DEFAULT_LEVELS), help="noise rates to sweep"
     )
     args = parser.parse_args()
+    counts = {"--seeds": args.seeds, "--window-width": args.window_width, "--frames-per-key": args.frames_per_key}
+    for option, value in counts.items():
+        if value < 1:
+            parser.error(f"{option} must be at least 1, not {value}")
+    for level in args.levels:
+        if not 0.0 <= level <= 1.0:
+            parser.error(f"--levels {level} does not lie in [0, 1]")
 
     goldens = {
         task: keys_from_names(json.loads(fixtures.keys_path(task).read_text()))

@@ -158,12 +158,14 @@ def estimate_pose(mask: Mask) -> ObjectPose:
 
 
 def to_world(pose: ObjectPose, cal: Calibration) -> ObjectPose:
-    """Map a pixel-space pose into world coordinates; angle and label pass through."""
-    return replace(
-        pose,
-        x=cal.origin[0] + cal.scale * pose.x,
-        y=cal.origin[1] + cal.scale * pose.y,
-    )
+    """Map a pixel-space pose into world coordinates; angle and label pass through.
+
+    A world coordinate too large for a float is a ValueError naming the class.
+    """
+    x, y = cal.origin[0] + cal.scale * pose.x, cal.origin[1] + cal.scale * pose.y
+    if not (math.isfinite(x) and math.isfinite(y)):
+        raise ValueError(f"mask of class {pose.class_name!r} maps to a world pose that is not finite")
+    return replace(pose, x=x, y=y)
 
 
 def sense_scene(scene: DetectedScene, cal: Calibration) -> tuple[ObjectPose, ...]:
@@ -188,9 +190,12 @@ def load_mask_file(path: str | Path) -> DetectedScene:
     triples, all JSON ints. Both reduce to the same moments and therefore
     the same pose. Duplicate pixels, and runs that overlap within a row, are
     rejected, and so is a key other than image_size and objects, or in an
-    object other than class and its encoding.
+    object other than class and its encoding. An image_size, which nothing
+    reads, must still be a pair when given.
     """
     doc = record(load_json(path, "mask file"), "mask file", ("image_size", "objects"))
+    if "image_size" in doc:
+        vector(doc["image_size"], 2, "mask file image_size")
     masks: list[Mask] = []
     for i, obj in enumerate(array(doc["objects"], "mask file objects")):
         obj = record(obj, f"mask object {i}", ("class", "points", "rle_rows"))

@@ -618,6 +618,8 @@ def _task_from_json(doc: object, name: str = "task") -> TaskSpec:
     kind = text(doc["kind"], f"{name} kind")
     if kind not in _SUCCESS:
         raise ValueError(f"{name} kind: unknown task kind {kind!r}")
+    if kind == "composite" and name != "task":  # a composite's parts are plain tasks, so nothing nests deeper
+        raise ValueError(f"{name} of kind 'composite' is refused: a composite's parts are plain tasks")
     _, names, bound = _SUCCESS[kind]
     record(doc, f"{name} of kind {kind!r}", ("kind", bound, *names))
     for k in names:
@@ -633,13 +635,15 @@ def _task_from_json(doc: object, name: str = "task") -> TaskSpec:
 def load_scenario(path: str | Path) -> tuple[WorldState, TaskSpec, SimConfig]:
     """Read a scenario file into a world, its task spec, and thresholds.
 
-    A missing field, a field of the wrong JSON type, a non-finite number, a
-    non-positive size, radius or threshold, a repeated object id, an object,
-    gripper start or delivery zone centred outside the workspace, a threshold
-    that is not a SimConfig field, an empty composite, or a task that lacks a
-    field of its kind's _SUCCESS entry or names any other is a ValueError.
+    A missing field, a key its level does not take, a field of the wrong JSON
+    type, a non-finite number, a non-positive size, radius or threshold, a
+    repeated object id, an object, gripper start or delivery zone centred
+    outside the workspace, an empty composite, a composite part that is not a
+    plain task, or a task that lacks a field of its kind's _SUCCESS entry is
+    a ValueError.
     """
-    doc = record(load_json(path, "scenario"), "scenario")
+    keys = ("workspace", "objects", "delivery_zone", "gripper_start", "thresholds", "task")
+    doc = record(load_json(path, "scenario"), "scenario", keys)
     width, height = (positive(v, "workspace size") for v in vector(doc["workspace"], 2, "workspace size"))
 
     def on_table(pose: tuple[float, ...], what: str) -> tuple[float, ...]:
@@ -649,7 +653,7 @@ def load_scenario(path: str | Path) -> tuple[WorldState, TaskSpec, SimConfig]:
 
     objects: dict[str, SimObject] = {}
     for obj in array(doc["objects"], "scenario objects"):
-        obj = record(obj, "scenario object")
+        obj = record(obj, "scenario object", ("id", "class", "kind", "pose", "radius"))
         what = f"object {obj.get('id')!r}"
         kind = text(obj.get("kind", ITEM), f"{what} kind")
         if kind not in KINDS:
@@ -663,15 +667,11 @@ def load_scenario(path: str | Path) -> tuple[WorldState, TaskSpec, SimConfig]:
         objects[oid] = SimObject(class_name=name, x=x, y=y, theta=theta, radius=radius, kind=kind)
     zone = None
     if doc.get("delivery_zone") is not None:
-        z = record(doc["delivery_zone"], "delivery zone")
+        z = record(doc["delivery_zone"], "delivery zone", ("pose", "radius"))
         zx, zy = on_table(vector(z["pose"], 2, "delivery zone pose"), "delivery zone")
         zone = DeliveryZone(x=zx, y=zy, radius=positive(z["radius"], "delivery zone radius"))
     gx, gy = on_table(vector(doc.get("gripper_start", [0.0, 0.0]), 2, "gripper start"), "gripper start")
-    thresholds = record(doc.get("thresholds", {}), "thresholds")
-    for k in thresholds:
-        if k not in {f.name for f in fields(SimConfig)}:
-            raise ValueError(f"thresholds: unknown threshold {k!r}")
-    cfg = SimConfig(**thresholds)
+    cfg = SimConfig(**record(doc.get("thresholds", {}), "thresholds", [f.name for f in fields(SimConfig)]))
     world = WorldState(width=width, height=height, objects=objects, gripper=Gripper(x=gx, y=gy), zone=zone)
     return world, _task_from_json(doc["task"]), cfg
 

@@ -269,6 +269,8 @@ class TestPlan:
             {"objects": [{"class": "x", "rle_rows": [[1, 2, 3.7]]}]},
             {"objects": [{"class": "x", "points": []}]},
             {"objects": [{"class": 5, "points": [[1, 2]]}]},
+            {"image_size": "banana", "objects": [{"class": "banana", "points": [[1, 2]]}]},
+            {"image_size": [600], "objects": [{"class": "banana", "points": [[1, 2]]}]},
             {"objects": [{"class": "x", "points": [[10**400, 0], [0, 0]]}]},
             {"objects": [{"class": "x", "points": [[10**400, 0], [-10**400, 0]]}]},
             # coordinates fit a float but their second moments do not
@@ -301,18 +303,21 @@ class TestPlan:
             {"scale": True, "origin": [0.0, 0.0]},
             {"scale": "0.0015", "origin": [0.0, 0.0]},
             {"scale": 0.0015, "origin": [0, 0], "image_size": [600]},
+            {"scale": 1e307, "origin": [0, 0]},  # finite, but a world coordinate overflows
         ],
     )
     def test_non_finite_calibration_exits_2(self, capsys, tmp_path, doc):
-        cal = tmp_path / "cal.json"
+        cal, out = tmp_path / "cal.json", tmp_path / "plan.json"
         cal.write_text(json.dumps(doc))  # NaN and Infinity are JSON extensions Python reads
         code = run_cli(
             "plan",
             "--labels", str(fixtures.labels_path("pick_place")),
             "--masks", str(fixtures.masks_path("pick_place")),
             "--calibration", str(cal),
+            "--out", str(out),
         )
         assert_parse_error(code, capsys)
+        assert not out.exists()
 
     def test_calibration_without_scale_names_the_field(self, capsys, tmp_path):
         cal = tmp_path / "cal.json"
@@ -440,16 +445,30 @@ class TestRun:
         code = run_cli("run", "--plan", str(plan), "--scenario", str(fixtures.scenario_path("pick_place")))
         assert "plan step 0 " in assert_parse_error(code, capsys)
 
-    @pytest.mark.parametrize("where", ["step", "pose"])
-    def test_a_stray_plan_key_exits_2_naming_it(self, capsys, tmp_path, pick_place_plan, where):
-        steps = json.loads(pick_place_plan.read_text())
-        if where == "step":
-            steps[2]["primry"], words = steps[2]["primary"], "plan step 2 takes no primry"
-        else:
-            steps[2]["primary"]["clas"], words = "banana", "plan step 2 primary takes no clas"
-        plan = tmp_path / "stray.json"
-        plan.write_text(json.dumps(steps))
-        code = run_cli("run", "--plan", str(plan), "--scenario", str(fixtures.scenario_path("pick_place")))
+    @pytest.mark.parametrize(
+        "where, edit, words",
+        [
+            ("plan", lambda steps: steps[2].update(primry=steps[2]["primary"]), "plan step 2 takes no primry"),
+            ("plan", lambda steps: steps[2]["primary"].update(clas="banana"), "plan step 2 primary takes no clas"),
+            ("scenario", lambda doc: doc.update(notes="tidy up"), "scenario takes no notes"),
+            ("scenario", lambda doc: doc.update(gripper_strat=[0.5, 0.5]), "scenario takes no gripper_strat"),
+            ("scenario", lambda doc: doc["objects"][0].update(colour="yellow"), "scenario object takes no colour"),
+            (
+                "scenario",
+                lambda doc: doc.update(delivery_zone={"pose": [0.5, 0.5], "radius": 0.1, "radiu": 0.1}),
+                "delivery zone takes no radiu",
+            ),
+        ],
+        ids=["step", "pose", "scenario", "gripper_strat", "scenario_object", "delivery_zone"],
+    )
+    def test_a_stray_plan_key_exits_2_naming_it(self, capsys, tmp_path, pick_place_plan, where, edit, words):
+        """run reads a plan and a scenario; a stray key in either exits 2 naming it."""
+        paths = {"plan": pick_place_plan, "scenario": fixtures.scenario_path("pick_place")}
+        doc = json.loads(paths[where].read_text())
+        edit(doc)
+        paths[where] = tmp_path / "stray.json"
+        paths[where].write_text(json.dumps(doc))
+        code = run_cli("run", "--plan", str(paths["plan"]), "--scenario", str(paths["scenario"]))
         assert words in assert_parse_error(code, capsys)
 
     @pytest.mark.parametrize(
@@ -605,7 +624,7 @@ class TestRun:
     def test_unknown_threshold_exits_2(self, capsys, tmp_path, pick_place_plan):
         thresholds = {"rech": 0.5, "contact": 0.04}
         code = self.run_edited_scenario(tmp_path, pick_place_plan, lambda doc: doc.update(thresholds=thresholds))
-        assert "unknown threshold 'rech'" in assert_parse_error(code, capsys)
+        assert "thresholds takes no rech" in assert_parse_error(code, capsys)
 
     def test_gripper_start_outside_workspace_exits_2(self, capsys, tmp_path, pick_place_plan):
         code = self.run_edited_scenario(tmp_path, pick_place_plan, lambda doc: doc.update(gripper_start=[5, 5]))
@@ -670,6 +689,18 @@ class TestTaskFields:
         task = {"kind": "composite", "parts": [{"kind": "deliver", "object_class": "banana", "target_class": "box"}]}
         code = self.run_task(tmp_path, pick_place_plan, task)
         assert "task part of kind 'deliver' takes no target_class" in assert_parse_error(code, capsys)
+
+    @pytest.mark.parametrize("depth", [1, 2, 450])
+    def test_a_composite_s_parts_are_plain_tasks(self, capsys, tmp_path, pick_place_plan, depth):
+        """One composite scores its parts; a composite among them is refused before its own parts are read."""
+        task = json.loads(fixtures.scenario_path("pick_place").read_text())["task"]
+        for _ in range(depth):
+            task = {"kind": "composite", "parts": [task]}
+        code = self.run_task(tmp_path, pick_place_plan, task)
+        if depth == 1:
+            assert code == 0 and capsys.readouterr().err == ""
+        else:
+            assert "task part of kind 'composite' is refused" in assert_parse_error(code, capsys)
 
 
 class TestBench:
@@ -791,6 +822,10 @@ def test_unwritable_out_exits_2(capsys, tmp_path, argv, target):
 FUZZ_VALUES = [[], [1], True, "x", None, math.nan, -1, {}, math.inf]  # a JSON 1e400 reads as inf
 DELETE = object()
 ADD = object()
+WRAP = object()
+# the text before and after a value that wraps it once in a list, an object or a composite task
+WRAPPERS = [("[", "]"), ('{"extra": ', "}"), ('{"kind": "composite", "parts": [', "]}")]
+WRAP_DEPTHS = [2, 450, 1_100]  # the last is past the interpreter's default recursion limit
 # names an added field takes: one no reader knows, and every task and threshold field
 ADDED_NAMES = ["extra", *(f.name for cls in (TaskSpec, SimConfig) for f in dataclasses.fields(cls))]
 
@@ -827,12 +862,12 @@ def field_paths(node, prefix=()):
 @settings(max_examples=200, deadline=None)
 @given(data=st.data())
 def test_damaged_document_exits_with_a_documented_code(fuzz_inputs, data):
-    """Delete, retype or add one field of one document: the CLI ends in 0..4, and exit 2 prints one line."""
+    """Delete, retype, add or deeply wrap one field of one document: the CLI ends in 0..4, and exit 2 prints one line."""
     tmp, readers, docs = fuzz_inputs
     flag = data.draw(st.sampled_from(sorted(docs)))
     doc = copy.deepcopy(docs[flag])
     path = data.draw(st.sampled_from(list(field_paths(doc))))
-    value = data.draw(st.sampled_from([DELETE, ADD, *FUZZ_VALUES]))
+    value = data.draw(st.sampled_from([DELETE, ADD, WRAP, *FUZZ_VALUES]))
     if value is ADD:  # set a named field beside one of some object's fields
         beside = data.draw(st.sampled_from([p for p in field_paths(doc) if isinstance(p[-1], str)]))
         path = (*beside[:-1], data.draw(st.sampled_from(ADDED_NAMES)))
@@ -840,10 +875,14 @@ def test_damaged_document_exits_with_a_documented_code(fuzz_inputs, data):
     node = functools.reduce(operator.getitem, path[:-1], doc)
     if value is DELETE:
         del node[path[-1]]
+    elif value is WRAP:  # json.dumps raises past the recursion limit, so the wrapped value is spliced into the text
+        (before, after), n = data.draw(st.sampled_from(WRAPPERS)), data.draw(st.sampled_from(WRAP_DEPTHS))
+        wrapped = before * n + json.dumps(node[path[-1]]) + after * n
+        node[path[-1]] = "@wrapped@"
     else:
         node[path[-1]] = copy.deepcopy(value)
     damaged = tmp / "damaged.json"
-    damaged.write_text(json.dumps(doc))
+    damaged.write_text(json.dumps(doc).replace('"@wrapped@"', wrapped) if value is WRAP else json.dumps(doc))
     command, args = readers[flag]
     argv = [command]
     for f, a in args.items():

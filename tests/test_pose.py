@@ -169,6 +169,15 @@ class TestToWorld:
         with pytest.raises(ValueError):
             Calibration(scale=0.0)
 
+    @pytest.mark.parametrize(
+        "scale, origin, xy",
+        [(1e307, (0.0, 0.0), (0.0, 300.0)), (1e306, (1.7e308, 0.0), (100.0, 0.0))],
+        ids=["scaled_y", "offset_x"],
+    )
+    def test_a_coordinate_past_the_float_range_names_the_class(self, scale, origin, xy):
+        with pytest.raises(ValueError, match="mask of class 'carrot' maps to a world pose that is not finite"):
+            to_world(ObjectPose(*xy, 0.0, "carrot"), Calibration(scale=scale, origin=origin))
+
 
 def random_cloud(seed: int) -> np.ndarray:
     """Anisotropic Gaussian cloud with a seeded generator."""

@@ -4,6 +4,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 from demoplan import fixtures
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -45,6 +47,24 @@ class TestNoiseSweep:
         cells = rows[0].split("\t")
         assert cells[0] == "0.10" and len(cells) == 1 + len(fixtures.TASKS)
         assert all(0.0 <= float(c) <= 1.0 for c in cells[1:])
+
+    @pytest.mark.parametrize(
+        "argv, words",
+        [
+            (["--seeds", "0"], "--seeds must be at least 1, not 0"),
+            (["--levels", "0.1", "1.5"], "--levels 1.5 does not lie in [0, 1]"),
+            (["--window-width", "0"], "--window-width must be at least 1, not 0"),
+        ],
+    )
+    def test_a_bad_argument_exits_2_with_one_usage_error(self, argv, words):
+        result = subprocess.run(
+            [sys.executable, str(ROOT / "scripts" / "noise_sweep.py"), *argv],
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert result.returncode == 2 and result.stdout == ""
+        assert result.stderr.endswith(f"noise_sweep.py: error: {words}\n") and "Traceback" not in result.stderr
 
 
 class TestBenchRecord:
