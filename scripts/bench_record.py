@@ -21,7 +21,10 @@ and reported as a unit cost:
 The inputs come from the generators in ``perfbench/inputs.py``. A scale point
 is one reading, not a distribution: two files recorded at different times
 differ by host drift as much as by code, so compare commits with alternating
-perfbench runs, not with these points. Example:
+perfbench runs, not with these points. ``environment.bytecode_cached`` records
+whether every package module had its bytecode cache before the first perfbench
+run, which decides most of ``setup_s``: compare two checkouts only in the same
+cache state. Example:
 
     python scripts/bench_record.py --tag pr12 --seconds 10
 """
@@ -29,6 +32,7 @@ perfbench runs, not with these points. Example:
 from __future__ import annotations
 
 import argparse
+import importlib.util
 import json
 import os
 import platform
@@ -139,6 +143,12 @@ def plan_point(work: Path, steps: int, repeats: int) -> dict:
     }
 
 
+def bytecode_cached() -> bool:
+    """Every package module has its compiled file, so perfbench's fresh imports do not compile the source."""
+    package = ROOT / "src" / "demoplan"
+    return all(Path(importlib.util.cache_from_source(p)).exists() for p in package.glob("*.py"))
+
+
 def git_commit() -> str | None:
     proc = subprocess.run(["git", "rev-parse", "HEAD"], cwd=ROOT, capture_output=True, text=True)
     return proc.stdout.strip() or None
@@ -154,7 +164,12 @@ def main(argv: list[str] | None = None) -> Path:
 
     record = {
         "tag": args.tag,
-        "environment": {"python": platform.python_version(), "cpu_count": os.cpu_count(), "commit": git_commit()},
+        "environment": {
+            "python": platform.python_version(),
+            "cpu_count": os.cpu_count(),
+            "commit": git_commit(),
+            "bytecode_cached": bytecode_cached(),  # read before the first perfbench run
+        },
         "settings": {"seed": SEED, "seconds": args.seconds, "repeats": REPEATS},
         "workloads": {
             name: {"untraced": run_workload(name, args.seconds, 0), "traced": run_workload(name, args.seconds, 1)}

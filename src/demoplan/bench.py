@@ -136,8 +136,8 @@ def summary_doc(cfg: BenchConfig, results: dict[str, TaskResult]) -> dict:
 
 
 def write_outputs(cfg: BenchConfig, results: dict[str, TaskResult], out_dir: str | Path) -> None:
+    """Write bench.tsv and summary.json into out_dir, which must exist."""
     out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     (out / "bench.tsv").write_text(results_tsv(results), encoding="utf-8")
     (out / "summary.json").write_text(
         json.dumps(summary_doc(cfg, results), indent=2, sort_keys=True) + "\n", encoding="utf-8"

@@ -104,6 +104,8 @@ def cmd_bench(args: argparse.Namespace) -> int:
     )
     if cfg.trials < 1:
         raise ValueError("trials must be >= 1")
+    if args.out:  # an unwritable directory fails before any trial runs
+        Path(args.out).mkdir(parents=True, exist_ok=True)
     results = bench_mod.run_benchmark(cfg)
     sys.stdout.write(bench_mod.results_tsv(results))
     if args.out:

@@ -94,13 +94,11 @@ CONTRACTS = {
 }
 
 
-def unfilled(step: BoundAction) -> str | None:
+def unfilled(step: BoundAction, contract: Contract) -> str | None:
     """The contract's refusal when the step leaves a slot it must fill empty (tilt: its target), else None."""
-    contract = CONTRACTS.get(step.primitive)
-    if contract is not None:
-        for slot in contract.bound(bool(contract.needs)):
-            if getattr(step, slot) is None:
-                return contract.empty
+    for slot in contract.bound(bool(contract.needs)):
+        if getattr(step, slot) is None:
+            return contract.empty
     return None
 
 
@@ -178,7 +176,7 @@ def validate_plan(plan: BoundPlan) -> list[str]:
             elif p == ActionPrimitive.MOVE and step.primary is not None:
                 violations.append(f"step {idx}: move carries a pose in the wrong slot")
             continue
-        empty = unfilled(step)
+        empty = unfilled(step, contract)
         if empty is not None:
             violations.append(f"step {idx}: {empty}")
         elif contract.needs and step.target.class_name not in _CONTAINER_CLASSES:

@@ -21,9 +21,12 @@ kinematics or time integration. Semantics per primitive:
   rotate  turns the bound object's cap by the configured angle; enough
           accumulated turn marks the object opened.
 
-Every primitive either returns a new world or a failure reason with the
-world untouched, so a failed step is atomic. At most one object is held at
-any time and its position equals the gripper position.
+What a primitive needs of the gripper, empty or holding, is its
+planner.CONTRACTS entry's ``needs``: apply_primitive refuses on it and on
+the contract's slots before the primitive's step runs. Every primitive
+either returns a new world or a failure reason with the world untouched, so
+a failed step is atomic. At most one object is held at any time and its
+position equals the gripper position.
 """
 
 from __future__ import annotations
@@ -374,8 +377,6 @@ def _carry(world: WorldState, contents: Iterable[str], x: float, y: float, verb:
 def _container(world: WorldState, act: BoundAction, verb: str, into: str) -> tuple[str, str]:
     """Held id and container id for a place or tilt into the bound target."""
     held = world.gripper.holding
-    if held is None:
-        raise _Refused(f"{verb} while not holding")
     cid = _find(world, act.target)
     if world.objects[cid].kind != CONTAINER:
         raise _Refused(f"{verb} target {cid} is not a container")
@@ -400,8 +401,6 @@ def _move(world: WorldState, act: BoundAction, cfg: SimConfig) -> dict:
 
 
 def _pick(world: WorldState, act: BoundAction, cfg: SimConfig) -> dict:
-    if world.gripper.holding is not None:
-        raise _Refused(f"pick while holding {world.gripper.holding}")
     oid = _find(world, act.primary)
     obj = _reach(world, oid, cfg)
     inside = {k: c for k, c in world.inside.items() if k != oid} if oid in world.inside else world.inside
@@ -422,8 +421,6 @@ def _place(world: WorldState, act: BoundAction, cfg: SimConfig) -> dict:
 
 def _push(world: WorldState, act: BoundAction, cfg: SimConfig) -> dict:
     gripper = world.gripper
-    if gripper.holding is not None:
-        raise _Refused("push while holding")  # the gripper body does the pushing
     pid, tid = _find(world, act.primary), _find(world, act.target)
     if pid == tid:
         raise _Refused("push needs two distinct objects")
@@ -474,13 +471,24 @@ def apply_primitive(
     """Execute one bound primitive.
 
     Returns (new world, None) on success or (unchanged world, reason) on a
-    precondition failure. An empty slot is refused in the words of the
-    planner's contract, after place and tilt refuse an empty gripper.
+    precondition failure. A primitive of planner.CONTRACTS is refused from its
+    contract before its step runs, in this order: a step that needs a held
+    object while the gripper is empty (``place while not holding``), then an
+    empty slot in the contract's words, then a step that needs an empty
+    gripper while holding (``push while holding``; pick, the one primitive
+    that leaves the gripper holding, names the held id).
     """
     try:
-        empty = unfilled(act)
-        if empty is not None and (world.gripper.holding is not None or not CONTRACTS[act.primitive].needs):
-            raise _Refused(empty)
+        contract = CONTRACTS.get(act.primitive)
+        if contract is not None:
+            held = world.gripper.holding
+            if contract.needs and held is None:
+                raise _Refused(f"{act.primitive.value} while not holding")
+            empty = unfilled(act, contract)
+            if empty is not None:
+                raise _Refused(empty)
+            if contract.needs is False and held is not None:
+                raise _Refused(f"{act.primitive.value} while holding" + (f" {held}" if contract.leaves else ""))
         changes = _STEP[act.primitive](world, act, cfg)
     except _Refused as refused:
         return world, str(refused)
@@ -629,7 +637,7 @@ def _task_from_json(doc: object, name: str = "task") -> TaskSpec:
     if doc.get(bound) is not None:
         spec[bound] = positive(doc[bound], f"{name} {bound}")
     parts = array(doc["parts"], f"{name} parts", nonempty=True) if "parts" in names else ()
-    return TaskSpec(kind, parts=tuple(_task_from_json(part, f"{name} part") for part in parts), **spec)
+    return TaskSpec(kind, parts=tuple(_task_from_json(part, f"{name} part {i}") for i, part in enumerate(parts)), **spec)
 
 
 def load_scenario(path: str | Path) -> tuple[WorldState, TaskSpec, SimConfig]:
@@ -652,8 +660,8 @@ def load_scenario(path: str | Path) -> tuple[WorldState, TaskSpec, SimConfig]:
         return pose
 
     objects: dict[str, SimObject] = {}
-    for obj in array(doc["objects"], "scenario objects"):
-        obj = record(obj, "scenario object", ("id", "class", "kind", "pose", "radius"))
+    for i, obj in enumerate(array(doc["objects"], "scenario objects")):
+        obj = record(obj, f"scenario object {i}", ("id", "class", "kind", "pose", "radius"))
         what = f"object {obj.get('id')!r}"
         kind = text(obj.get("kind", ITEM), f"{what} kind")
         if kind not in KINDS:

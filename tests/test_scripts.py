@@ -77,7 +77,7 @@ class TestBenchRecord:
         assert out == tmp_path / "BENCH_tiny.json"
         record = json.loads(out.read_text())
         assert sorted(record) == ["environment", "scale_points", "settings", "tag", "workloads"]
-        assert sorted(record["environment"]) == ["commit", "cpu_count", "python"]
+        assert sorted(record["environment"]) == ["bytecode_cached", "commit", "cpu_count", "python"]
         runs = record["workloads"]["demo_files"]
         assert sorted(runs) == ["traced", "untraced"]
         for run in runs.values():

@@ -11,7 +11,15 @@ from worldgen import ODD_NAMES, odd_number, random_action, random_world
 from demoplan import fixtures, sim
 from demoplan.actions import ActionPrimitive, keys_from_names
 from demoplan.knowledge import build_model, load_corpus, load_lexicon
-from demoplan.planner import LOW_CONFIDENCE, BoundAction, BoundPlan, bind_plan, bound_action_to_json
+from demoplan.planner import (
+    CONTRACTS,
+    LOW_CONFIDENCE,
+    BoundAction,
+    BoundPlan,
+    bind_plan,
+    bound_action_to_json,
+    validate_plan,
+)
 from demoplan.pose import ObjectPose, load_calibration, load_mask_file, sense_scene
 from demoplan.sim import (
     CONTAINER,
@@ -219,6 +227,39 @@ class TestPush:
         w = world_with({"g-0": obj("grape", 0.3, 0.3)})
         _, reason = apply_primitive(w, BoundAction(PUSH, primary=pose_at(w, "g-0")), CFG)
         assert reason is not None
+
+
+class TestGripperRefusals:
+    """The simulator refuses a wrong gripper state from planner.CONTRACTS, in the validator's words."""
+
+    EMPTY = world_with(
+        {
+            "apple-0": obj("apple", 0.2, 0.2),
+            "banana-0": obj("banana", 0.3, 0.3),
+            "box-0": obj("plastic-box", 0.6, 0.6, kind=CONTAINER),
+        }
+    )
+    HOLDING = replace(EMPTY, gripper=Gripper(0.2, 0.2, "apple-0", True))
+
+    @pytest.mark.parametrize("primitive", [p for p, c in CONTRACTS.items() if c.needs is not None])
+    def test_a_wrong_gripper_state_is_refused_as_the_validator_words_it(self, primitive):
+        contract = CONTRACTS[primitive]
+        poses = {"primary": pose_at(self.EMPTY, "banana-0"), "target": pose_at(self.EMPTY, "box-0")}
+        step = BoundAction(primitive, **{slot: poses[slot] for slot in contract.slots})
+        _, reason = apply_primitive(self.EMPTY if contract.needs else self.HOLDING, step, CFG)
+        # the validator reaches the step with the same gripper state: empty, or holding after a pick
+        before = () if contract.needs else (BoundAction(PICK, primary=pose_at(self.EMPTY, "apple-0")),)
+        last = f"step {len(before)}: "
+        [words] = [v.removeprefix(last) for v in validate_plan(BoundPlan((*before, step))) if v.startswith(last)]
+        assert reason == words + (" apple-0" if contract.leaves else "")
+
+    def test_a_place_with_no_target_from_an_empty_gripper_is_refused_for_the_gripper(self):
+        _, reason = apply_primitive(self.EMPTY, BoundAction(PLACE), CFG)
+        assert reason == "place while not holding"
+
+    def test_a_push_with_an_empty_slot_while_holding_is_refused_for_the_slot(self):
+        _, reason = apply_primitive(self.HOLDING, BoundAction(PUSH, primary=pose_at(self.EMPTY, "banana-0")), CFG)
+        assert reason == "push needs two bound objects"
 
 
 class TestTiltAndRotate:
