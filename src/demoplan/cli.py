@@ -47,8 +47,8 @@ def _write(path: str | None, text: str) -> None:
 def cmd_filter(args: argparse.Namespace) -> int:
     keys = window_filter(load_label_stream(args.labels), args.window_width)
     text = json.dumps([k.value for k in keys]) + "\n"
-    sys.stdout.write(text)
     _write(args.out, text)
+    sys.stdout.write(text)
     return EXIT_OK
 
 
@@ -65,8 +65,8 @@ def cmd_plan(args: argparse.Namespace) -> int:
             _err(f"validation: {v}")
         return EXIT_BINDING
     text = plan_text(plan)
-    sys.stdout.write(text)
     _write(args.out, text)
+    sys.stdout.write(text)
     return EXIT_OK
 
 

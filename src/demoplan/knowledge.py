@@ -36,10 +36,12 @@ class Lexicon:
 
     Object names may span several tokens ("white plate") or carry internal
     hyphens ("black-bottle"); matching is greedy, longest phrase first.
+    containers, a subset of objects, are the classes a place or tilt may target.
     """
 
     verbs: Mapping[str, ActionPrimitive]
     objects: frozenset[str]
+    containers: frozenset[str] = frozenset()
     max_phrase_len: int = field(init=False, repr=False, compare=False)  # tokens in the longest object name
 
     def __post_init__(self) -> None:
@@ -50,11 +52,12 @@ class Lexicon:
 
 @dataclass
 class CooccurrenceModel:
-    """Sentence-presence counts N(action, object) with per-action totals."""
+    """Sentence-presence counts N(action, object) with per-action totals, and the lexicon's containers."""
 
     counts: dict[ActionPrimitive, dict[str, int]] = field(default_factory=dict)
     sentence_count: int = 0
     skipped_sentences: int = 0
+    containers: frozenset[str] = frozenset()
 
     def action_total(self, action: ActionPrimitive) -> int:
         return sum(self.counts.get(action, {}).values())
@@ -122,7 +125,7 @@ def build_model(corpus: Sequence[str], lex: Lexicon) -> CooccurrenceModel:
     """
     if not corpus:
         raise ValueError("corpus must be non-empty")
-    model = CooccurrenceModel()
+    model = CooccurrenceModel(containers=lex.containers)
     for line in corpus:
         pairs = set(parse_sentence(line, lex))
         model.sentence_count += 1
@@ -197,7 +200,8 @@ def load_corpus(path: str | Path) -> list[str]:
 
 
 def load_lexicon(path: str | Path) -> Lexicon:
-    doc = record(load_json(path, "lexicon"), "lexicon", ("verbs", "objects"))
+    """Read a lexicon; its required containers must each be one of its objects, compared lowercased."""
+    doc = record(load_json(path, "lexicon"), "lexicon", ("verbs", "objects", "containers"))
     table = record(doc["verbs"], "lexicon verbs")
     spelled: dict[str, str] = {}
     for v in table:
@@ -205,7 +209,10 @@ def load_lexicon(path: str | Path) -> Lexicon:
             raise ValueError(f"lexicon verbs {spelled[v.lower()]!r} and {v!r} differ only in case")
     verbs = {v.lower(): primitive(p, f"lexicon verb {v!r}") for v, p in table.items()}
     objects = frozenset(text(o, "lexicon object").lower() for o in array(doc["objects"], "lexicon objects"))
-    return Lexicon(verbs=verbs, objects=objects)
+    containers = frozenset(text(c, "lexicon container").lower() for c in array(doc["containers"], "lexicon containers"))
+    if not containers <= objects:
+        raise ValueError(f"lexicon container {min(containers - objects)!r} is not a lexicon object")
+    return Lexicon(verbs=verbs, objects=objects, containers=containers)
 
 
 def stats_tsv(model: CooccurrenceModel) -> str:

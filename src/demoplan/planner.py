@@ -34,10 +34,6 @@ from .pose import ObjectPose
 NORMAL = "normal"
 LOW_CONFIDENCE = "low-confidence"
 
-_CONTAINER_CLASSES = frozenset(
-    {"plate", "white plate", "bowl", "cup", "plastic-box", "paper-box"}
-)
-
 
 class BindingError(RuntimeError):
     """Binding failed at a specific plan step."""
@@ -62,6 +58,7 @@ class BoundAction:
 @dataclass(frozen=True)
 class BoundPlan:
     steps: tuple[BoundAction, ...]
+    containers: frozenset[str] = frozenset()  # the classes a place or tilt may target; a loaded plan has none
 
     def __len__(self) -> int:
         return len(self.steps)
@@ -157,11 +154,12 @@ def bind_plan(
         elif step.anchor() is not None:
             approach = step.anchor()
 
-    return BoundPlan(steps=tuple(steps))
+    return BoundPlan(steps=tuple(steps), containers=model.containers)
 
 
 def validate_plan(plan: BoundPlan) -> list[str]:
-    """Check slot completeness, container targets and gripper consistency.
+    """Check slot completeness, gripper consistency and that each place or
+    tilt target is one of plan.containers, the lexicon's containers.
 
     Returns an ordered list of human-readable violations; empty means valid.
     """
@@ -179,7 +177,7 @@ def validate_plan(plan: BoundPlan) -> list[str]:
         empty = unfilled(step, contract)
         if empty is not None:
             violations.append(f"step {idx}: {empty}")
-        elif contract.needs and step.target.class_name not in _CONTAINER_CLASSES:
+        elif contract.needs and step.target.class_name not in plan.containers:
             violations.append(f"step {idx}: {p.value} target '{step.target.class_name}' is not a container")
         if contract.needs is not None and contract.needs != holding:
             violations.append(f"step {idx}: {p.value} while {'not ' if contract.needs else ''}holding")

@@ -246,6 +246,38 @@ class TestPlan:
             "idle", "move", "rotate", "pick", "move", "tilt", "pick", "move",
         ]
 
+    @pytest.mark.parametrize("listed", [True, False])
+    def test_a_place_target_is_a_container_when_the_lexicon_lists_it(self, capsys, tmp_path, listed):
+        """The pick_place box labelled basket: plan and run take it once the lexicon's containers name it."""
+        files = {}
+        for name, path in (("masks", fixtures.masks_path("pick_place")), ("scenario", fixtures.scenario_path("pick_place"))):
+            files[name] = tmp_path / path.name
+            files[name].write_text(path.read_text().replace("plastic-box", "basket"))
+        files["corpus"] = tmp_path / "corpus.txt"
+        files["corpus"].write_text(fixtures.corpus_path().read_text() + "put the banana into the basket\n")
+        lexicon = json.loads(fixtures.lexicon_path().read_text())
+        lexicon["objects"].append("basket")
+        if listed:
+            lexicon["containers"].append("basket")
+        files["lexicon"] = tmp_path / "lexicon.json"
+        files["lexicon"].write_text(json.dumps(lexicon))
+        plan = tmp_path / "plan.json"
+        code = run_cli(
+            "plan",
+            "--labels", str(fixtures.labels_path("pick_place")),
+            "--masks", str(files["masks"]),
+            "--corpus", str(files["corpus"]),
+            "--lexicon", str(files["lexicon"]),
+            "--out", str(plan),
+        )
+        if not listed:
+            assert code == 3 and not plan.exists()
+            assert capsys.readouterr().err == "demoplan: error: validation: step 4: place target 'basket' is not a container\n"
+            return
+        assert code == 0 and json.loads(plan.read_text())[4]["target"]["class"] == "basket"
+        assert run_cli("run", "--plan", str(plan), "--scenario", str(files["scenario"])) == 0
+        assert capsys.readouterr().out.endswith("SUCCESS: 5 steps\n")
+
     def test_malformed_masks_exit_2(self, capsys, tmp_path):
         masks = tmp_path / "masks.json"
         masks.write_text('{"objects": [{"class": "x"}]}')
@@ -789,6 +821,10 @@ class TestCorpusStats:
             {"verbs": {"pick": "pick"}, "objects": 5},
             {"verbs": {"pick": "pick"}, "objects": ["apple", 5]},
             {"verbs": {"pick": [1]}, "objects": ["apple"]},
+            {"verbs": {"pick": "pick"}, "objects": ["apple"], "containers": 5},
+            {"verbs": {"pick": "pick"}, "objects": ["apple"], "containers": [1]},
+            {"verbs": {"pick": "pick"}, "objects": ["apple"], "containers": ["basket"]},
+            {"verbs": {"pick": "pick"}, "objects": ["apple"]},
         ],
     )
     def test_mistyped_lexicon_exits_2(self, tmp_path, capsys, doc):
@@ -815,10 +851,10 @@ class TestCorpusStats:
     ],
 )
 def test_unwritable_out_exits_2(capsys, tmp_path, argv, target):
-    """bench makes its --out directory before the first trial, so it fails with nothing printed."""
+    """Each command writes --out before stdout (bench makes its directory before the first trial), so it fails with nothing printed."""
     (tmp_path / "regular-file").write_text("")
     code = run_cli(*argv, "--out", str(tmp_path / target))
-    assert str(tmp_path / target) in assert_parse_error(code, capsys, quiet=argv[0] == "bench")
+    assert str(tmp_path / target) in assert_parse_error(code, capsys, quiet=True)
 
 
 FUZZ_VALUES = [[], [1], True, "x", None, math.nan, -1, {}, math.inf]  # a JSON 1e400 reads as inf

@@ -61,7 +61,7 @@ class TestParseSentence:
     def test_the_longest_phrase_is_counted_once_per_lexicon(self, lex):
         assert lex.max_phrase_len == max(len(o.split()) for o in lex.objects) == 2
         longer = replace(lex, objects=lex.objects | {"big white plate"})
-        assert longer.max_phrase_len == 3 and longer == Lexicon(lex.verbs, lex.objects | {"big white plate"})
+        assert longer.max_phrase_len == 3 and longer == Lexicon(lex.verbs, lex.objects | {"big white plate"}, lex.containers)
         assert parse_sentence("pick the big white plate", longer) == [(PICK, "big white plate")]
         assert parse_sentence("pick the big white plate", lex) == [(PICK, "white plate")]
         assert Lexicon(verbs={}, objects=()).max_phrase_len == 1
@@ -304,9 +304,14 @@ class TestCorpusIO:
 
     def test_lexicon_lowercases(self, tmp_path):
         path = tmp_path / "lexicon.json"
-        path.write_text('{"verbs": {"Pick": "pick"}, "objects": ["Apple"]}')
+        path.write_text('{"verbs": {"Pick": "pick"}, "objects": ["Apple"], "containers": []}')
         lex = load_lexicon(path)
         assert parse_sentence("pick the apple", lex) == [(PICK, "apple")]
+
+    def test_lexicon_containers_are_objects_compared_lowercased(self, tmp_path):
+        path = tmp_path / "lexicon.json"
+        path.write_text('{"verbs": {}, "objects": ["Apple", "White Plate"], "containers": ["WHITE plate"]}')
+        assert load_lexicon(path).containers == {"white plate"}
 
     def test_stats_tsv_shape(self, lex):
         model = build_model(["pick the apple", "push the pear"], lex)

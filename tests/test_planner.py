@@ -320,6 +320,7 @@ class TestBindingSignatureRandomCounts:
     """
 
     EXPECTED = "5bb58cb0898c6876761f5cc049492c510d40d6feb4603cfff3aeba951ddc84a4"
+    CONTAINERS = frozenset({"plate", "white plate", "bowl", "cup", "plastic-box", "paper-box"})  # the fixture lexicon's
 
     def test_plans_errors_and_violations_are_unchanged(self):
         rng = random.Random(5)
@@ -333,6 +334,7 @@ class TestBindingSignatureRandomCounts:
                 if rng.random() < 0.8
             }
             model = CooccurrenceModel.from_counts(counts)
+            model.containers = self.CONTAINERS
             for _ in range(5):
                 names = [rng.choice(primitives)]
                 while len(names) < rng.randint(1, 8):

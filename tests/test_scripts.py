@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 
 from demoplan import fixtures
+from demoplan.knowledge import load_lexicon
 
 ROOT = Path(__file__).resolve().parents[1]
 SHIPPED = Path(fixtures.__file__).parent
@@ -30,6 +31,15 @@ class TestMakeFixtures:
         assert written == shipped
         for name in written:
             assert (tmp_path / name).read_bytes() == (SHIPPED / name).read_bytes(), name
+
+    def test_the_lexicon_and_the_scenes_spell_container_one_way(self):
+        containers = load_lexicon(fixtures.lexicon_path()).containers
+        kinds = {cls: kind for cls, (kind, _, _) in load_script("make_fixtures").SHAPES.items()}
+        assert {cls for cls, kind in kinds.items() if kind == "container"} <= containers
+        assert not {cls for cls, kind in kinds.items() if kind != "container"} & containers
+        for task in fixtures.TASKS:
+            for obj in json.loads(fixtures.scenario_path(task).read_text())["objects"]:
+                assert obj["kind"] != "container" or obj["class"] in containers, (task, obj["id"])
 
 
 class TestNoiseSweep:

@@ -250,7 +250,7 @@ class TestGripperRefusals:
         # the validator reaches the step with the same gripper state: empty, or holding after a pick
         before = () if contract.needs else (BoundAction(PICK, primary=pose_at(self.EMPTY, "apple-0")),)
         last = f"step {len(before)}: "
-        [words] = [v.removeprefix(last) for v in validate_plan(BoundPlan((*before, step))) if v.startswith(last)]
+        [words] = [v.removeprefix(last) for v in validate_plan(BoundPlan((*before, step), frozenset({"plastic-box"}))) if v.startswith(last)]
         assert reason == words + (" apple-0" if contract.leaves else "")
 
     def test_a_place_with_no_target_from_an_empty_gripper_is_refused_for_the_gripper(self):
