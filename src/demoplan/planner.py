@@ -162,6 +162,10 @@ def validate_plan(plan: BoundPlan) -> list[str]:
     tilt target is one of plan.containers, the lexicon's containers.
 
     Returns an ordered list of human-readable violations; empty means valid.
+    A step's gripper and slot violations come in the order
+    sim.apply_primitive refuses them: ``while not holding``, the empty slot,
+    then ``while holding``. A bound target that is not a container is named
+    first, as the pinned bench tables record it.
     """
     violations: list[str] = []
     holding = False
@@ -175,12 +179,14 @@ def validate_plan(plan: BoundPlan) -> list[str]:
                 violations.append(f"step {idx}: move carries a pose in the wrong slot")
             continue
         empty = unfilled(step, contract)
+        if empty is None and contract.needs and step.target.class_name not in plan.containers:
+            violations.append(f"step {idx}: {p.value} target '{step.target.class_name}' is not a container")
+        if contract.needs and not holding:
+            violations.append(f"step {idx}: {p.value} while not holding")
         if empty is not None:
             violations.append(f"step {idx}: {empty}")
-        elif contract.needs and step.target.class_name not in plan.containers:
-            violations.append(f"step {idx}: {p.value} target '{step.target.class_name}' is not a container")
-        if contract.needs is not None and contract.needs != holding:
-            violations.append(f"step {idx}: {p.value} while {'not ' if contract.needs else ''}holding")
+        if contract.needs is False and holding:
+            violations.append(f"step {idx}: {p.value} while holding")
         if contract.leaves is not None:
             holding = contract.leaves
     return violations

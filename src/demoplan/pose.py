@@ -8,10 +8,15 @@ and the class label. Theta is an axis, not a direction, so it lives in
 fruit) have no meaningful axis and are flagged degenerate with theta = 0.
 
 A mask is reduced at load to its exact integer moments n, Sx, Sy, Sxx, Syy
-and Sxy (Hu 1962). A point list is decoded as an x column and a y column,
-which the duplicate check and the sums read directly; a run-length row has a
-closed form and is never expanded into pixels. A mask whose moments do
-not fit a float is a ValueError.
+and Sxy (Hu 1962). A point list is type-checked and split into an x column
+and a y column in one flat pass, and the duplicate check and the sums read
+the columns; a run-length row has a closed form and is never expanded into
+pixels. A mask whose moments do not fit a float is a ValueError.
+
+json builds one list per pixel of a point list, and every collection of the
+cyclic garbage collector during a load walks them all, so load_mask_file
+pauses the collector until the decoded document is dropped. Pausing only
+around the decode would leave one collection of every row.
 
 A fixed overhead camera reduces calibration to a scale and an offset, which
 is what to_world applies.
@@ -19,10 +24,11 @@ is what to_world applies.
 
 from __future__ import annotations
 
+import gc
 import math
 from dataclasses import InitVar, dataclass, replace
 from itertools import chain, repeat
-from operator import add, itemgetter, mul
+from operator import add, mul
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -173,13 +179,13 @@ def sense_scene(scene: DetectedScene, cal: Calibration) -> tuple[ObjectPose, ...
     return tuple(to_world(estimate_pose(m), cal) for m in scene.masks)
 
 
-def _int_rows(value: object, width: int, what: str) -> list[list[int]]:
-    """A non-empty JSON list of rows, each a list of exactly `width` ints, returned as it is."""
+def _int_rows(value: object, what: str) -> list[list[int]]:
+    """A non-empty JSON list of run-length rows, each a list of exactly 3 ints, returned as it is."""
     rows = array(value, what, nonempty=True)
-    typed = set(map(type, rows)) == {list} and set(map(len, rows)) == {width}
+    typed = set(map(type, rows)) == {list} and set(map(len, rows)) == {3}
     if typed and {int}.issuperset(map(type, chain.from_iterable(rows))):  # a bool is not an int here
         return rows
-    raise ValueError(f"{what} must be lists of {width} integers")
+    raise ValueError(f"{what} must be lists of 3 integers")
 
 
 def load_mask_file(path: str | Path) -> DetectedScene:
@@ -191,8 +197,19 @@ def load_mask_file(path: str | Path) -> DetectedScene:
     the same pose. Duplicate pixels, and runs that overlap within a row, are
     rejected, and so is a key other than image_size and objects, or in an
     object other than class and its encoding. An image_size, which nothing
-    reads, must still be a pair when given.
+    reads, must still be a pair when given. The cyclic collector is off
+    until the decoded document is dropped, and on again only if it was on.
     """
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        return _read_masks(path)  # the decoded document goes with the callee's frame, before the finally
+    finally:
+        if enabled:
+            gc.enable()
+
+
+def _read_masks(path: str | Path) -> DetectedScene:
     doc = record(load_json(path, "mask file"), "mask file", ("image_size", "objects"))
     if "image_size" in doc:
         vector(doc["image_size"], 2, "mask file image_size")
@@ -204,13 +221,17 @@ def load_mask_file(path: str | Path) -> DetectedScene:
         if ("points" in obj) == ("rle_rows" in obj):
             raise ValueError(f"{what} needs exactly one of 'points' and 'rle_rows'")
         if "points" in obj:
-            points = _int_rows(obj["points"], 2, f"{what} points")
-            xs, ys = list(map(itemgetter(0), points)), list(map(itemgetter(1), points))
+            rows = array(obj["points"], f"{what} points", nonempty=True)
+            pairs = set(map(type, rows)) == {list} and set(map(len, rows)) == {2}
+            flat = list(chain.from_iterable(rows)) if pairs else []  # x0, y0, x1, y1, ...
+            if not (pairs and {int}.issuperset(map(type, flat))):  # a bool is not an int here
+                raise ValueError(f"{what} points must be lists of 2 integers")
+            xs, ys = flat[0::2], flat[1::2]
             span = max(ys) - min(ys) + 1  # x*span + y is one int per pixel, distinct for distinct pixels
             unique = len(set(map(add, map(mul, xs, repeat(span)), ys))) == len(xs)
             moments = _point_moments(xs, ys)
         else:
-            runs = sorted(_int_rows(obj["rle_rows"], 3, f"{what} rle_rows"))
+            runs = sorted(_int_rows(obj["rle_rows"], f"{what} rle_rows"))
             if min(k for _, _, k in runs) < 1:
                 raise ValueError(f"{what} has an rle run length below 1")
             unique = all(y0 != y1 or x0 + k0 <= x1 for (y0, x0, k0), (y1, x1, _) in zip(runs, runs[1:]))

@@ -235,7 +235,7 @@ class TestUnfilledSlots:
             ((BoundAction(ROTATE),), ["step 0: rotate has no bound object"]),
             ((BoundAction(PICK, primary=pose("apple")), BoundAction(PLACE)), ["step 1: place has no bound target"]),
             ((BoundAction(PICK, primary=pose("apple")), BoundAction(TILT)), ["step 1: tilt has no bound target"]),
-            ((BoundAction(PLACE),), ["step 0: place has no bound target", "step 0: place while not holding"]),
+            ((BoundAction(PLACE),), ["step 0: place while not holding", "step 0: place has no bound target"]),
             ((BoundAction(PUSH, target=pose("pear")),), ["step 0: push needs two bound objects"]),
         ],
         ids=["idle_primary", "idle_target", "move_primary", "pick", "rotate", "place", "tilt", "place_empty", "push"],

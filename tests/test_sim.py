@@ -261,6 +261,31 @@ class TestGripperRefusals:
         _, reason = apply_primitive(self.HOLDING, BoundAction(PUSH, primary=pose_at(self.EMPTY, "banana-0")), CFG)
         assert reason == "push needs two bound objects"
 
+    NEAR = world_with(
+        {
+            "apple-0": obj("apple", 0.20, 0.20),
+            "banana-0": obj("banana", 0.21, 0.20),
+            "box-0": obj("plastic-box", 0.22, 0.20, kind=CONTAINER),
+        },
+        gripper=(0.20, 0.20),
+    )
+
+    @pytest.mark.parametrize("holding", [False, True], ids=["empty", "holding"])
+    @pytest.mark.parametrize("primitive, slot", [(p, s) for p, c in CONTRACTS.items() for s in c.slots])
+    def test_a_step_with_an_empty_slot_is_first_refused_as_the_simulator_refuses_it(self, primitive, slot, holding):
+        """Everything is within reach, so the simulator refuses only for the gripper or the slot, or runs the step."""
+        poses = {"primary": pose_at(self.NEAR, "banana-0"), "target": pose_at(self.NEAR, "box-0")}
+        step = BoundAction(primitive, **{s: poses[s] for s in CONTRACTS[primitive].slots if s != slot})
+        before = (BoundAction(PICK, primary=pose_at(self.NEAR, "apple-0")),) if holding else ()
+        world = self.NEAR
+        for act in before:
+            world, reason = apply_primitive(world, act, CFG)
+            assert reason is None
+        _, reason = apply_primitive(world, step, CFG)
+        last = f"step {len(before)}: "
+        found = [v for v in validate_plan(BoundPlan((*before, step), frozenset({"plastic-box"}))) if v.startswith(last)]
+        assert found[:1] == ([] if reason is None else [last + reason])
+
 
 class TestTiltAndRotate:
     def make_pour_world(self):
