@@ -24,7 +24,10 @@ differ by host drift as much as by code, so compare commits with alternating
 perfbench runs, not with these points. ``environment.bytecode_cached`` records
 whether every package module had its bytecode cache before the first perfbench
 run, which decides most of ``setup_s``: compare two checkouts only in the same
-cache state. Example:
+cache state. ``environment.commit`` is the checkout's HEAD, which for an
+uncommitted change is its parent and without git is null; so
+``environment.source_sha256`` names the code measured, a sha256 over the
+package's ``.py`` files (see source_sha256). Example:
 
     python scripts/bench_record.py --tag pr12 --seconds 10
 """
@@ -32,6 +35,7 @@ cache state. Example:
 from __future__ import annotations
 
 import argparse
+import hashlib
 import importlib.util
 import json
 import os
@@ -149,6 +153,20 @@ def bytecode_cached() -> bool:
     return all(Path(importlib.util.cache_from_source(p)).exists() for p in package.glob("*.py"))
 
 
+def source_sha256(root: Path = ROOT) -> str:
+    """sha256 over every src/demoplan/**/*.py under root, sorted by relative path.
+
+    Each file adds its relative path, its byte count and its bytes, so a moved
+    file changes the hash as an edited one does.
+    """
+    files = {p.relative_to(root).as_posix(): p for p in (root / "src" / "demoplan").rglob("*.py")}
+    h = hashlib.sha256()
+    for rel in sorted(files):
+        data = files[rel].read_bytes()
+        h.update(f"{rel}\0{len(data)}\0".encode("utf-8") + data)
+    return h.hexdigest()
+
+
 def git_commit() -> str | None:
     proc = subprocess.run(["git", "rev-parse", "HEAD"], cwd=ROOT, capture_output=True, text=True)
     return proc.stdout.strip() or None
@@ -168,6 +186,7 @@ def main(argv: list[str] | None = None) -> Path:
             "python": platform.python_version(),
             "cpu_count": os.cpu_count(),
             "commit": git_commit(),
+            "source_sha256": source_sha256(),
             "bytecode_cached": bytecode_cached(),  # read before the first perfbench run
         },
         "settings": {"seed": SEED, "seconds": args.seconds, "repeats": REPEATS},

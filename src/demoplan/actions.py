@@ -18,7 +18,7 @@ import random
 from collections import deque
 from dataclasses import dataclass
 from enum import Enum
-from itertools import islice
+from itertools import count, islice
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -152,7 +152,7 @@ def window_filter(stream: PrimitiveStream, w: int) -> KeySequence:
     keys = [window_mode(frames[: w + 1])]
     mq = at[keys[0]]
     half = (w + 1) // 2
-    for j, (out, into) in enumerate(zip(qs, islice(qs, w + 1, None)), start=w + 1):
+    for out, into, j in zip(qs, islice(qs, w + 1, None), count(w + 1)):
         out.popleft()
         into.append(j)
         if into is mq or len(mq) > half:
@@ -183,6 +183,12 @@ def synthesize_stream(
     independently replaced by a uniformly random different primitive with
     probability noise_rate. The generator is seeded, so identical arguments
     always produce the identical stream.
+
+    The draws, in order: each frame takes one random(); a frame that draws
+    below noise_rate takes one of the other six primitives, in PRIMITIVES
+    order, at the index getrandbits(3) gives, redrawn while it is 6 or more.
+    That is how CPython draws randrange(6), without its two Python-level
+    calls per noisy frame.
     """
     if not 0.0 <= noise_rate <= 1.0:
         raise ValueError("noise_rate must lie in [0, 1]")
@@ -191,11 +197,20 @@ def synthesize_stream(
     if len(keys) == 0:
         raise ValueError("keys must be non-empty")
     rng = random.Random(seed)
+    draw, bits = rng.random, rng.getrandbits
+    n = len(PRIMITIVES) - 1  # the others of each key
+    k = n.bit_length()
     out: list[ActionPrimitive] = []
     for key in keys:
         others = _OTHERS[key]
         for _ in range(frames_per_key):
-            out.append(others[rng.randrange(len(others))] if rng.random() < noise_rate else key)
+            if draw() < noise_rate:
+                r = bits(k)
+                while r >= n:
+                    r = bits(k)
+                out.append(others[r])
+            else:
+                out.append(key)
     return PrimitiveStream(tuple(out))
 
 

@@ -58,7 +58,7 @@ class BoundAction:
 @dataclass(frozen=True)
 class BoundPlan:
     steps: tuple[BoundAction, ...]
-    containers: frozenset[str] = frozenset()  # the classes a place or tilt may target; a loaded plan has none
+    containers: frozenset[str] | None = None  # the classes a place or tilt may target; None if unknown, as in a loaded plan
 
     def __len__(self) -> int:
         return len(self.steps)
@@ -159,7 +159,8 @@ def bind_plan(
 
 def validate_plan(plan: BoundPlan) -> list[str]:
     """Check slot completeness, gripper consistency and that each place or
-    tilt target is one of plan.containers, the lexicon's containers.
+    tilt target is one of plan.containers, the lexicon's containers. A plan
+    whose containers are unknown (None), such as a loaded one, skips that check.
 
     Returns an ordered list of human-readable violations; empty means valid.
     A step's gripper and slot violations come in the order
@@ -179,7 +180,7 @@ def validate_plan(plan: BoundPlan) -> list[str]:
                 violations.append(f"step {idx}: move carries a pose in the wrong slot")
             continue
         empty = unfilled(step, contract)
-        if empty is None and contract.needs and step.target.class_name not in plan.containers:
+        if empty is None and contract.needs and plan.containers is not None and step.target.class_name not in plan.containers:
             violations.append(f"step {idx}: {p.value} target '{step.target.class_name}' is not a container")
         if contract.needs and not holding:
             violations.append(f"step {idx}: {p.value} while not holding")

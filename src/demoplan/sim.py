@@ -182,14 +182,15 @@ class WorldState:
         state.pop("_digest", None)
         for f, value in changes.items():
             if value is not state[f]:
-                view = _VIEW.get(f)
-                value = value if view is None else view(value)
-                if f == "objects" and value.keys() != state[f].keys():
-                    state.pop("_order", None)
+                if f in _VIEW:
+                    value = _VIEW[f](value)
+                    if f == "objects" and value.keys() != state[f].keys():
+                        state.pop("_order", None)
                 state[f] = value
-                state.pop(_FRAGMENT.get(f), None)
+                if f in _FRAGMENT:
+                    state.pop(_FRAGMENT[f], None)
         nxt = object.__new__(WorldState)
-        vars(nxt).update(state)
+        object.__setattr__(nxt, "__dict__", state)  # the instance takes the copy as its dict, with no second copy
         return nxt
 
     @_cached

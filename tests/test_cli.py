@@ -19,6 +19,7 @@ from hypothesis import strategies as st
 from demoplan import fixtures
 from demoplan.actions import dump_label_stream, keys_from_names, synthesize_stream
 from demoplan.cli import build_parser, main
+from demoplan.planner import load_plan, validate_plan
 from demoplan.sim import _SUCCESS, SimConfig, TaskSpec
 
 
@@ -245,6 +246,20 @@ class TestPlan:
         assert [s["primitive"] for s in steps] == [
             "idle", "move", "rotate", "pick", "move", "tilt", "pick", "move",
         ]
+
+    @pytest.mark.parametrize("task", fixtures.TASKS)
+    def test_a_written_plan_validates_when_loaded_back(self, tmp_path, task):
+        """A loaded plan's containers are unknown, not empty, so no place or tilt target is refused."""
+        out = tmp_path / "plan.json"
+        code = run_cli(
+            "plan",
+            "--labels", str(fixtures.labels_path(task)),
+            "--masks", str(fixtures.masks_path(task)),
+            "--out", str(out),
+        )
+        assert code == 0
+        plan = load_plan(out)
+        assert plan.containers is None and validate_plan(plan) == []
 
     @pytest.mark.parametrize("listed", [True, False])
     def test_a_place_target_is_a_container_when_the_lexicon_lists_it(self, capsys, tmp_path, listed):

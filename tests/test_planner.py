@@ -196,9 +196,12 @@ class TestValidatePlan:
                 BoundAction(PICK, primary=pose("apple")),
                 BoundAction(PLACE, target=pose("banana")),
             ),
+            containers=frozenset(),
         )
         report = validate_plan(plan)
         assert any("not a container" in v for v in report)
+        # a plan whose containers are unknown, as a loaded one, skips the check
+        assert validate_plan(BoundPlan(steps=plan.steps)) == []
 
     def test_tilt_after_tilt_release_is_consistent(self, model, cal):
         # pour then pick again: the validator must agree with execution order

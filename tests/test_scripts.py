@@ -87,7 +87,8 @@ class TestBenchRecord:
         assert out == tmp_path / "BENCH_tiny.json"
         record = json.loads(out.read_text())
         assert sorted(record) == ["environment", "scale_points", "settings", "tag", "workloads"]
-        assert sorted(record["environment"]) == ["bytecode_cached", "commit", "cpu_count", "python"]
+        assert sorted(record["environment"]) == ["bytecode_cached", "commit", "cpu_count", "python", "source_sha256"]
+        assert record["environment"]["source_sha256"] == script.source_sha256()
         runs = record["workloads"]["demo_files"]
         assert sorted(runs) == ["traced", "untraced"]
         for run in runs.values():
@@ -104,3 +105,21 @@ class TestBenchRecord:
         for encoding in ("points", "rle_rows"):
             assert scale["masks"][encoding]["px"] > 0 and scale["masks"][encoding]["load_ns_per_px"] > 0
         assert scale["plan"]["steps"] == 40 and scale["plan"]["all_ok"] and scale["plan"]["run_us_per_step"] > 0
+
+    def test_the_source_hash_names_the_package_source(self, tmp_path):
+        script = load_script("bench_record")
+        package = tmp_path / "src" / "demoplan"
+        (package / "sub").mkdir(parents=True)
+        (package / "a.py").write_text("A = 1\n")
+        (package / "sub" / "b.py").write_text("B = 2\n")
+        (package / "data.json").write_text("{}")
+        before = script.source_sha256(tmp_path)
+        assert len(before) == 64 and script.source_sha256(tmp_path) == before
+        (package / "data.json").write_text("[]")  # not source: the hash stays
+        assert script.source_sha256(tmp_path) == before
+        (package / "sub" / "b.py").write_text("B = 3\n")  # one byte changed
+        assert script.source_sha256(tmp_path) != before
+        (package / "sub" / "b.py").write_text("B = 2\n")
+        assert script.source_sha256(tmp_path) == before
+        (package / "sub" / "b.py").rename(package / "b.py")  # the same bytes under another path
+        assert script.source_sha256(tmp_path) != before

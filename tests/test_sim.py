@@ -1034,3 +1034,55 @@ class TestFragmentHandoff:
         nxt, reason = apply_primitive(held, BoundAction(MOVE, primary=to), CFG)
         assert reason is None and nxt.objects is not held.objects
         assert digest(nxt) == plain_digest(nxt) and '"apple-1": ["apple", 0, 0.5,' in nxt._objects
+
+    @staticmethod
+    def assert_own_dict(parent, nxt, changes):
+        """nxt's instance dict is new: parent's fields and still-valid fragments with the changes in place, no _digest."""
+        old, new = vars(parent), vars(nxt)
+        assert new is not old and new is not changes
+        assert "_digest" in old and "_digest" not in new
+        changed = {f for f, value in changes.items() if value is not old[f]}
+        stale = {sim._FRAGMENT[f] for f in changed if f in sim._FRAGMENT}
+        if "objects" in changed and nxt.objects.keys() != parent.objects.keys():
+            stale.add("_order")
+        assert set(new) == set(old) - stale - {"_digest"}
+        for name, value in new.items():
+            assert value == changes[name] if name in changed else value is old[name], name
+        assert digest(nxt) == plain_digest(nxt)
+        return changed
+
+    def test_a_successor_takes_a_new_dict_of_the_parents_fields_and_fragments(self, monkeypatch):
+        given = []
+
+        def recorded(step):
+            def wrapped(world, act, cfg):
+                given.append(step(world, act, cfg))
+                return given[-1]
+
+            return wrapped
+
+        for p, step in list(sim._STEP.items()):
+            monkeypatch.setitem(sim._STEP, p, recorded(step))
+        rng = random.Random(5)
+        cfg = SimConfig(reach=2.0)
+        seen = Counter()
+        for _ in range(4):
+            world = crowded_world(rng)
+            for _ in range(100):
+                digest(world)  # the parent holds _digest and every fragment
+                nxt, reason = apply_primitive(world, aimed_action(rng, world), cfg)
+                if reason is None:
+                    seen.update(self.assert_own_dict(world, nxt, {**given[-1], "clock": world.clock + 1}))
+                    world = nxt
+        assert all(seen[f] > 20 for f in ("objects", "inside", "poured", "gripper", "clock")), seen
+        world = crowded_world(rng)
+        more = {**world.objects, "apple-99": obj("apple", 0.4, 0.4)}
+        for changes in (
+            {"clock": 1},
+            {"objects": more},
+            {"objects": world.objects, "gripper": Gripper(0.2, 0.2)},
+            {"inside": {"box-3": "box-0"}, "poured": {("box-3", "box-0")}},
+            {"width": 1.0, "zone": None},
+        ):
+            digest(world)
+            self.assert_own_dict(world, world.successor(**changes), changes)
