@@ -154,9 +154,8 @@ def main() -> None:
 
         # scenario poses come from the masks themselves so that the planner's
         # sensed poses and the simulator's world agree exactly
-        scene = load_mask_file(mask_path)
         scenario_objects = []
-        for i, mask in enumerate(scene.masks):
+        for i, mask in enumerate(load_mask_file(mask_path)):
             pose = to_world(estimate_pose(mask), cal)
             kind = SHAPES[mask.class_name][0]
             scenario_objects.append(

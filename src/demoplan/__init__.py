@@ -28,7 +28,6 @@ from .knowledge import (
 from .planner import BoundAction, BoundPlan, bind_plan, validate_plan
 from .pose import (
     Calibration,
-    DetectedScene,
     Mask,
     ObjectPose,
     centroid,
@@ -54,7 +53,6 @@ __all__ = [
     "BoundPlan",
     "Calibration",
     "CooccurrenceModel",
-    "DetectedScene",
     "ExecutionTrace",
     "KeySequence",
     "Lexicon",

@@ -51,25 +51,24 @@ class TaskResult:
         return self.executed_steps / self.trials if self.trials else 0.0
 
 
-def run_trial(inputs: tuple, model: CooccurrenceModel, seed: int, cfg: BenchConfig) -> tuple[bool, str | None, int]:
-    """One pipeline pass; returns (success, failure reason, executed steps)."""
+def run_trial(inputs: tuple, model: CooccurrenceModel, seed: int, cfg: BenchConfig) -> tuple[str | None, int]:
+    """One pipeline pass; returns (failure reason, executed steps), the reason None for a success."""
     golden, poses, (world, task_spec, sim_cfg) = inputs
     stream = synthesize_stream(golden, cfg.frames_per_key, cfg.noise_rate, seed)
     keys = window_filter(stream, cfg.window_width)
     try:
         plan = bind_plan(keys, poses, model)
     except BindingError as exc:
-        return False, f"binding: {exc}", 0
+        return f"binding: {exc}", 0
     violations = validate_plan(plan)
     if violations:
-        return False, f"validation: {violations[0]}", 0
+        return f"validation: {violations[0]}", 0
     trace, final = run_plan(world, plan, sim_cfg)
     if not trace.all_ok:
-        failure = trace.failure
-        return False, f"execution: {failure.reason}", len(trace.steps)
+        return f"execution: {trace.failure.reason}", len(trace.steps)
     if not check_success(trace, final, task_spec, sim_cfg):
-        return False, "predicate: task goal not reached", len(trace.steps)
-    return True, None, len(trace.steps)
+        return "predicate: task goal not reached", len(trace.steps)
+    return None, len(trace.steps)
 
 
 def _load_inputs(cfg: BenchConfig) -> tuple[CooccurrenceModel, dict[str, tuple]]:
@@ -92,10 +91,10 @@ def run_benchmark(cfg: BenchConfig) -> dict[str, TaskResult]:
         result = TaskResult(task=task)
         for trial in range(cfg.trials):
             seed = cfg.seed + task_index * cfg.trials + trial
-            ok, reason, steps = run_trial(inputs, model, seed, cfg)
+            reason, steps = run_trial(inputs, model, seed, cfg)
             result.trials += 1
             result.executed_steps += steps
-            if ok:
+            if reason is None:
                 result.successes += 1
             else:
                 result.failures[reason] += 1

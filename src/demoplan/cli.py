@@ -22,7 +22,7 @@ from pathlib import Path
 
 from . import bench as bench_mod
 from . import fixtures
-from .actions import load_label_stream, window_filter
+from .actions import keys_from_names, load_label_stream, synthesize_stream, window_filter
 from .knowledge import build_model, load_corpus, load_lexicon, stats_tsv
 from .planner import BindingError, bind_plan, load_plan, plan_text, validate_plan
 from .pose import load_calibration, load_mask_file, sense_scene
@@ -54,11 +54,11 @@ def cmd_filter(args: argparse.Namespace) -> int:
 
 def cmd_plan(args: argparse.Namespace) -> int:
     stream = load_label_stream(args.labels)
-    scene = load_mask_file(args.masks)
+    masks = load_mask_file(args.masks)
     cal = load_calibration(args.calibration)
     model = build_model(load_corpus(args.corpus), load_lexicon(args.lexicon))
     keys = window_filter(stream, args.window_width)
-    plan = bind_plan(keys, sense_scene(scene, cal), model)
+    plan = bind_plan(keys, sense_scene(masks, cal), model)
     violations = validate_plan(plan)
     if violations:
         for v in violations:
@@ -104,6 +104,8 @@ def cmd_bench(args: argparse.Namespace) -> int:
     )
     if cfg.trials < 1:
         raise ValueError("trials must be >= 1")
+    # a trial's own stream stages refuse a bad --noise or --window-width, here on one key before --out is made
+    window_filter(synthesize_stream(keys_from_names(["idle"]), cfg.frames_per_key, cfg.noise_rate, cfg.seed), cfg.window_width)
     if args.out:  # an unwritable directory fails before any trial runs
         Path(args.out).mkdir(parents=True, exist_ok=True)
     results = bench_mod.run_benchmark(cfg)

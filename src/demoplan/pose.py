@@ -89,13 +89,6 @@ def _run_moments(runs: list[list[int]]) -> tuple[int, int, int, int, int, int]:
 
 
 @dataclass(frozen=True)
-class DetectedScene:
-    """The instance masks of one camera frame; each mask carries its class."""
-
-    masks: tuple[Mask, ...]
-
-
-@dataclass(frozen=True)
 class ObjectPose:
     """Centroid, principal-axis angle in [0, pi), and class label."""
 
@@ -174,9 +167,9 @@ def to_world(pose: ObjectPose, cal: Calibration) -> ObjectPose:
     return replace(pose, x=x, y=y)
 
 
-def sense_scene(scene: DetectedScene, cal: Calibration) -> tuple[ObjectPose, ...]:
+def sense_scene(masks: Iterable[Mask], cal: Calibration) -> tuple[ObjectPose, ...]:
     """Estimate every mask's pose and calibrate it to world coordinates."""
-    return tuple(to_world(estimate_pose(m), cal) for m in scene.masks)
+    return tuple(to_world(estimate_pose(m), cal) for m in masks)
 
 
 def _int_rows(value: object, what: str) -> list[list[int]]:
@@ -188,8 +181,8 @@ def _int_rows(value: object, what: str) -> list[list[int]]:
     raise ValueError(f"{what} must be lists of 3 integers")
 
 
-def load_mask_file(path: str | Path) -> DetectedScene:
-    """Parse a mask JSON document into a DetectedScene.
+def load_mask_file(path: str | Path) -> tuple[Mask, ...]:
+    """Parse a mask JSON document into the instance masks of one camera frame, each carrying its class.
 
     Each object holds exactly one encoding: "points", a list of [x, y]
     pixels, or "rle_rows", row run-length encoding as [y, x_start, run_len]
@@ -209,7 +202,7 @@ def load_mask_file(path: str | Path) -> DetectedScene:
             gc.enable()
 
 
-def _read_masks(path: str | Path) -> DetectedScene:
+def _read_masks(path: str | Path) -> tuple[Mask, ...]:
     doc = record(load_json(path, "mask file"), "mask file", ("image_size", "objects"))
     if "image_size" in doc:
         vector(doc["image_size"], 2, "mask file image_size")
@@ -239,7 +232,7 @@ def _read_masks(path: str | Path) -> DetectedScene:
         if not unique:
             raise ValueError(f"{what} contains duplicate points")
         masks.append(Mask(name, moments=moments))
-    return DetectedScene(masks=tuple(masks))
+    return tuple(masks)
 
 
 def load_calibration(path: str | Path) -> Calibration:

@@ -120,10 +120,11 @@ class SimObject:
 
 
 class Gripper(NamedTuple):
+    """Where the gripper is and the id it holds; it is closed exactly when it holds one."""
+
     x: float
     y: float
     holding: str | None = None
-    closed: bool = False
 
 
 @dataclass(frozen=True)
@@ -231,16 +232,18 @@ class WorldState:
 
 
 def _head(clock: int, g: Gripper) -> str:
-    """json.dumps({"clock": clock, "gripper": [g.x, g.y, g.holding, g.closed]}), spliced.
+    """json.dumps({"clock": clock, "gripper": [g.x, g.y, g.holding, g.holding is not None]}), spliced.
 
-    x - x == 0 holds for every finite number, so repr writes the coordinates
-    as json does; NaN or an infinity goes to json's own spelling.
+    The gripper is closed exactly when it holds an object, so the entry's last
+    element is derived, not stored. x - x == 0 holds for every finite number,
+    so repr writes the coordinates as json does; NaN or an infinity goes to
+    json's own spelling.
     """
-    x, y = g.x, g.y
+    x, y, held = g
     if not (x - x == 0 and y - y == 0):
-        return json.dumps({"clock": clock, "gripper": [x, y, g.holding, g.closed]})
-    holding = "null" if g.holding is None else _quote(g.holding)
-    return f'{{"clock": {clock!r}, "gripper": [{x!r}, {y!r}, {holding}, {"true" if g.closed else "false"}]}}'
+        return json.dumps({"clock": clock, "gripper": [x, y, held, held is not None]})
+    holding = "null, false" if held is None else f"{_quote(held)}, true"
+    return f'{{"clock": {clock!r}, "gripper": [{x!r}, {y!r}, {holding}]}}'
 
 
 # each WorldState field that a cached digest fragment encodes, and that fragment
@@ -266,8 +269,12 @@ class TraceStep(NamedTuple):
     action: BoundAction
     pre_digest: str
     post_digest: str
-    outcome: str  # "ok" or "failed"
-    reason: str | None = None
+    reason: str | None = None  # why the step was refused; None for a step that ran
+
+    @property
+    def outcome(self) -> str:
+        """The step's outcome word, as a trace line writes it: "ok" exactly when reason is None, else "failed"."""
+        return "ok" if self.reason is None else "failed"
 
 
 @dataclass(frozen=True)
@@ -276,12 +283,12 @@ class ExecutionTrace:
 
     @property
     def all_ok(self) -> bool:
-        return all(s.outcome == "ok" for s in self.steps)
+        return all(s.reason is None for s in self.steps)
 
     @property
     def failure(self) -> TraceStep | None:
         for s in self.steps:
-            if s.outcome == "failed":
+            if s.reason is not None:
                 return s
         return None
 
@@ -291,8 +298,9 @@ def digest(world: WorldState) -> str:
 
     The payload is json.dumps(doc, sort_keys=True) of the document
     {"clock", "gripper", "height", "inside", "objects", "poured", "width",
-    "zone"}, with each object as [class, x, y, theta, radius, kind, turned,
-    opened] under its id. The keys are written in sorted order. Only clock
+    "zone"}, with the gripper as [x, y, holding, holding is not None] and
+    each object as [class, x, y, theta, radius, kind, turned, opened] under
+    its id. The keys are written in sorted order. Only clock
     and gripper are encoded for each state; the rest is spliced in from the
     fragments a state caches or inherits (see WorldState). A state is hashed
     the first time its digest is asked for; every later call returns it.
@@ -387,25 +395,23 @@ def _container(world: WorldState, act: BoundAction, verb: str, into: str) -> tup
 
 
 def _move(world: WorldState, act: BoundAction, cfg: SimConfig) -> dict:
-    dest, zone, gripper = act.anchor(), world.zone, world.gripper
+    dest, zone, held = act.anchor(), world.zone, world.gripper.holding
     if dest is not None:
         dx, dy = dest.x, dest.y
     elif zone is not None:
         dx, dy = zone.x, zone.y
     else:
         raise _Refused("move has no destination and the world has no delivery zone")
-    held = gripper.holding
     objects = world.objects if held is None else _carry(world, _contents(world, held), dx, dy, "move")
     handover = zone is not None and _dist(dx, dy, zone.x, zone.y) <= zone.radius
-    gripper = Gripper(dx, dy) if handover and held is not None else Gripper(dx, dy, held, gripper.closed)
-    return {"gripper": gripper, "objects": objects}
+    return {"gripper": Gripper(dx, dy, None if handover else held), "objects": objects}
 
 
 def _pick(world: WorldState, act: BoundAction, cfg: SimConfig) -> dict:
     oid = _find(world, act.primary)
     obj = _reach(world, oid, cfg)
     inside = {k: c for k, c in world.inside.items() if k != oid} if oid in world.inside else world.inside
-    return {"gripper": Gripper(obj.x, obj.y, oid, True), "inside": inside}
+    return {"gripper": Gripper(obj.x, obj.y, oid), "inside": inside}
 
 
 def _place(world: WorldState, act: BoundAction, cfg: SimConfig) -> dict:
@@ -421,19 +427,18 @@ def _place(world: WorldState, act: BoundAction, cfg: SimConfig) -> dict:
 
 
 def _push(world: WorldState, act: BoundAction, cfg: SimConfig) -> dict:
-    gripper = world.gripper
     pid, tid = _find(world, act.primary), _find(world, act.target)
     if pid == tid:
         raise _Refused("push needs two distinct objects")
     po, to = world.objects[pid], world.objects[tid]
     d = _dist(po.x, po.y, to.x, to.y)
     if d <= cfg.contact:  # SimConfig keeps contact positive, so d > 0 below
-        return {"gripper": Gripper(po.x, po.y, None, gripper.closed)}
+        return {"gripper": Gripper(po.x, po.y)}
     ux, uy = (to.x - po.x) / d, (to.y - po.y) / d
     nx, ny = to.x - cfg.contact * ux, to.y - cfg.contact * uy
     group = {pid} | (_contents(world, pid) if po.kind == CONTAINER else set())
     objects = _moved(world, _shift(world, group, nx - po.x, ny - po.y), "push would leave the workspace")
-    return {"objects": objects, "gripper": Gripper(nx, ny, None, gripper.closed)}
+    return {"objects": objects, "gripper": Gripper(nx, ny)}
 
 
 def _tilt(world: WorldState, act: BoundAction, cfg: SimConfig) -> dict:
@@ -505,13 +510,10 @@ def run_plan(
     for idx, act in enumerate(plan.steps):
         pre = digest(current)
         nxt, reason = apply_primitive(current, act, cfg)
-        post = digest(nxt)
-        if reason is None:
-            steps.append(TraceStep(idx, act, pre, post, "ok"))
-            current = nxt
-        else:
-            steps.append(TraceStep(idx, act, pre, post, "failed", reason))
+        steps.append(TraceStep(idx, act, pre, digest(nxt), reason))
+        if reason is not None:
             break
+        current = nxt
     return ExecutionTrace(steps=tuple(steps)), current
 
 
@@ -692,9 +694,10 @@ def trace_to_jsonl(trace: ExecutionTrace) -> str:
     {"action", "outcome", "post", "pre", "reason", "step"}, spliced in that
     key order from its values, each encoded as json would encode it: the
     action by planner.action_json, the strings by json's own ASCII quoting.
+    The outcome is "ok" exactly when the reason is null.
     """
     return "".join(
-        f'{{"action": {action_json(s.action)}, "outcome": {_quote(s.outcome)}, '
+        f'{{"action": {action_json(s.action)}, "outcome": "{"ok" if s.reason is None else "failed"}", '
         f'"post": {_quote(s.post_digest)}, "pre": {_quote(s.pre_digest)}, '
         f'"reason": {"null" if s.reason is None else _quote(s.reason)}, "step": {s.index}}}\n'
         for s in trace.steps

@@ -22,10 +22,17 @@ class TestRunTrial:
             (["idle", "move", "pick", "move", "pick"], "pick_place", "pick_place", "validation: step 4: pick while holding", 0),
             (["idle"], "pick_place", "pick_place", "predicate: task goal not reached", 1),
             (["idle", "move", "pick", "move", "place"], "pick_place", "push_away", "execution: no banana in the world", 3),
+            (
+                ["idle", "move", "pick", "move", "place", "move", "pick", "move", "place", "move", "pick"],
+                "pick_place",
+                "pick_place",
+                "binding: step 10: no candidate object left to pick",
+                0,
+            ),
         ],
-        ids=["validation", "predicate", "execution"],
+        ids=["validation", "predicate", "execution", "binding"],
     )
     def test_failure_reason_and_steps(self, model, names, masks_task, scenario_task, reason, steps):
         poses = sense_scene(load_mask_file(fixtures.masks_path(masks_task)), load_calibration(fixtures.calibration_path()))
         inputs = keys_from_names(names), poses, load_scenario(fixtures.scenario_path(scenario_task))
-        assert run_trial(inputs, model, 0, BenchConfig()) == (False, reason, steps)
+        assert run_trial(inputs, model, 0, BenchConfig()) == (reason, steps)

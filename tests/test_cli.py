@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from demoplan import fixtures
+from demoplan import bench, fixtures
 from demoplan.actions import dump_label_stream, keys_from_names, synthesize_stream
 from demoplan.cli import build_parser, main
 from demoplan.planner import load_plan, validate_plan
@@ -800,6 +800,13 @@ class TestBench:
     def test_zero_trials_exits_2(self, capsys):
         assert run_cli("bench", "--trials", "0") == 2
 
+    @pytest.mark.parametrize("argv", [["--noise", "2"], ["--window-width", "0"]])
+    def test_a_stream_setting_a_trial_refuses_exits_2_before_out_is_made(self, capsys, tmp_path, monkeypatch, argv):
+        monkeypatch.setattr(bench, "run_trial", lambda *args: pytest.fail("a trial ran"))
+        out = tmp_path / "out"
+        assert_parse_error(run_cli("bench", "--trials", "1", *argv, "--out", str(out)), capsys, quiet=True)
+        assert not out.exists()
+
 
 class TestCorpusStats:
     def test_tsv_matches_model(self, capsys):
@@ -865,8 +872,9 @@ class TestCorpusStats:
         (["bench", "--trials", "1"], "regular-file"),
     ],
 )
-def test_unwritable_out_exits_2(capsys, tmp_path, argv, target):
+def test_unwritable_out_exits_2(capsys, tmp_path, monkeypatch, argv, target):
     """Each command writes --out before stdout (bench makes its directory before the first trial), so it fails with nothing printed."""
+    monkeypatch.setattr(bench, "run_trial", lambda *args: pytest.fail("a trial ran"))
     (tmp_path / "regular-file").write_text("")
     code = run_cli(*argv, "--out", str(tmp_path / target))
     assert str(tmp_path / target) in assert_parse_error(code, capsys, quiet=True)

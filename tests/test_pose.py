@@ -266,9 +266,9 @@ class TestMaskFile:
                 {"class": "banana", "rle_rows": rle},
             ],
         }
-        scene = load_mask_file(self.write(tmp_path, doc))
-        pose_a = estimate_pose(scene.masks[0])
-        pose_b = estimate_pose(scene.masks[1])
+        mask_a, mask_b = load_mask_file(self.write(tmp_path, doc))
+        pose_a = estimate_pose(mask_a)
+        pose_b = estimate_pose(mask_b)
         assert pose_a == pose_b
 
     def test_duplicate_points_rejected(self, tmp_path):
@@ -401,7 +401,7 @@ class TestMoments:
     def load(self, directory, objects):
         path = directory / "masks.json"
         path.write_text(json.dumps({"objects": objects}))
-        return load_mask_file(path).masks
+        return load_mask_file(path)
 
     @given(
         pixels=st.sets(st.tuples(st.integers(-8, 8), st.integers(-8, 8)), min_size=1, max_size=200),
@@ -528,7 +528,7 @@ class TestPointColumns:
                 return str(exc)
 
         value = load_json(path, "mask file")["objects"][0]["points"]
-        return run(lambda: load_mask_file(path).masks[0].moments), run(lambda: tuple_set_zip_decode(value))
+        return run(lambda: load_mask_file(path)[0].moments), run(lambda: tuple_set_zip_decode(value))
 
     def check(self, directory, points):
         path = directory / "masks.json"

@@ -56,9 +56,9 @@ def test_no_collection_runs_during_the_load_nor_at_the_next_allocation(tmp_path,
     gc.collect()
     gc.callbacks.append(lambda phase, info: starts.append(info) if phase == "start" else None)
     try:
-        scene = load_mask_file(path)
+        masks = load_mask_file(path)
         [[i] for i in range(10)]  # tracked allocations, at which a collection that is due would start
     finally:
         gc.callbacks.pop()
     assert starts == []
-    assert scene.masks[0].moments[0] == side * side
+    assert masks[0].moments[0] == side * side

@@ -76,7 +76,6 @@ class TestPick:
         nxt, reason = apply_primitive(w, BoundAction(PICK, primary=pose_at(w, "banana-0")), CFG)
         assert reason is None
         assert nxt.gripper.holding == "banana-0"
-        assert nxt.gripper.closed
         assert (nxt.gripper.x, nxt.gripper.y) == (0.30, 0.30)
 
     def test_pick_out_of_reach_fails_atomically(self):
@@ -134,7 +133,7 @@ class TestMoveAndPlace:
         w, reason = apply_primitive(w, BoundAction(PLACE, target=pose_at(w, "box-0")), CFG)
         assert reason is None
         assert (w.objects["a-0"].x, w.objects["a-0"].y) == (0.60, 0.60)
-        assert w.gripper.holding is None and not w.gripper.closed
+        assert w.gripper.holding is None
         assert w.inside["a-0"] == "box-0"
 
     def test_place_without_holding_fails(self):
@@ -239,7 +238,7 @@ class TestGripperRefusals:
             "box-0": obj("plastic-box", 0.6, 0.6, kind=CONTAINER),
         }
     )
-    HOLDING = replace(EMPTY, gripper=Gripper(0.2, 0.2, "apple-0", True))
+    HOLDING = replace(EMPTY, gripper=Gripper(0.2, 0.2, "apple-0"))
 
     @pytest.mark.parametrize("primitive", [p for p, c in CONTRACTS.items() if c.needs is not None])
     def test_a_wrong_gripper_state_is_refused_as_the_validator_words_it(self, primitive):
@@ -366,7 +365,6 @@ class TestRunPlan:
         bad = BoundPlan(steps=(plan.steps[4], plan.steps[2]))
         trace, final = run_plan(world, bad, cfg)
         assert len(trace.steps) == 1
-        assert trace.steps[0].outcome == "failed"
         assert trace.steps[0].reason == "place while not holding"
         assert digest(final) == digest(world)
 
@@ -652,20 +650,21 @@ class TestTupleRecords:
 
     def test_a_gripper_defaults_to_empty_and_open(self):
         g = Gripper(x=0.1, y=0.2)
-        assert (g.x, g.y, g.holding, g.closed) == (0.1, 0.2, None, False)
-        assert g == Gripper(0.1, 0.2, None, False) != Gripper(0.1, 0.2, "apple-0", True)
+        assert (g.x, g.y, g.holding) == (0.1, 0.2, None)
+        assert g == Gripper(0.1, 0.2, None) != Gripper(0.1, 0.2, "apple-0")
 
     def test_a_trace_step_with_and_without_a_reason(self):
         act = BoundAction(IDLE)
-        ok = TraceStep(0, act, "a", "b", "ok")
-        failed = TraceStep(index=1, action=act, pre_digest="b", post_digest="b", outcome="failed", reason="why")
-        assert ok.reason is None and (failed.index, failed.outcome, failed.reason) == (1, "failed", "why")
+        ok = TraceStep(0, act, "a", "b")
+        failed = TraceStep(index=1, action=act, pre_digest="b", post_digest="b", reason="why")
+        assert ok.reason is None and (failed.index, failed.reason) == (1, "why")
+        assert (ok.outcome, failed.outcome) == ("ok", "failed")
         trace = ExecutionTrace((ok, failed))
         assert not trace.all_ok and trace.failure is failed
         assert trace_to_jsonl(trace) == plain_trace(trace)
 
     def test_a_field_cannot_be_assigned(self):
-        g, step = Gripper(0.1, 0.2), TraceStep(0, BoundAction(IDLE), "a", "b", "ok")
+        g, step = Gripper(0.1, 0.2), TraceStep(0, BoundAction(IDLE), "a", "b")
         for record, name in ((g, "x"), (g, "holding"), (step, "reason"), (step, "outcome")):
             with pytest.raises(AttributeError):
                 setattr(record, name, None)
@@ -679,7 +678,7 @@ class TestCheckInvariants:
         broken = replace(
             start,
             objects={**start.objects, "box-0": obj("box", 1.5, 0.5, kind=CONTAINER), "ghost-2": obj("ghost", 0.1, 0.1)},
-            gripper=Gripper(x=0.3, y=0.3, holding="bowl-1", closed=True),
+            gripper=Gripper(x=0.3, y=0.3, holding="bowl-1"),
             inside={"box-0": "bowl-1", "bowl-1": "box-0", "apple-3": "box-0"},
         )
         assert check_invariants(broken, start) == [
@@ -690,7 +689,7 @@ class TestCheckInvariants:
             "box-0 lies outside the workspace",
             "object ids changed: 2 -> 3",
         ]
-        missing = replace(start, gripper=Gripper(x=0.3, y=0.3, holding="cup-9", closed=True))
+        missing = replace(start, gripper=Gripper(x=0.3, y=0.3, holding="cup-9"))
         assert check_invariants(missing, start) == ["held object cup-9 does not exist"]
 
 
@@ -745,7 +744,7 @@ def plain_digest(world):
         "width": world.width,
         "height": world.height,
         "clock": world.clock,
-        "gripper": [world.gripper.x, world.gripper.y, world.gripper.holding, world.gripper.closed],
+        "gripper": [world.gripper.x, world.gripper.y, world.gripper.holding, world.gripper.holding is not None],
         "zone": None if world.zone is None else [world.zone.x, world.zone.y, world.zone.radius],
         "inside": dict(sorted(world.inside.items())),
         "poured": sorted(world.poured),
@@ -797,7 +796,7 @@ class TestDigestEncoding:
             width=1,
             height=0.9,
             objects={"box-0": obj("box", 0.5, 0.5, kind=CONTAINER), "apple-1": obj("apple", 0.5, 0.5)},
-            gripper=Gripper(x=0.5, y=0.5, holding="box-0", closed=True),
+            gripper=Gripper(x=0.5, y=0.5, holding="box-0"),
             zone=None,
             inside={"apple-1": "box-0"},
             poured={("apple-1", "box-0"), ("box-0", "apple-1")},
@@ -814,15 +813,15 @@ class TestHeadEncoding:
         rng = random.Random(16)
         for _ in range(3000):
             holding = rng.choice((None,) + ODD_NAMES)
-            g = Gripper(odd_number(rng), odd_number(rng), holding, rng.random() < 0.5)
+            g = Gripper(odd_number(rng), odd_number(rng), holding)
             clock = rng.choice((0, 1, 599, 10**20))
-            assert sim._head(clock, g) == json.dumps({"clock": clock, "gripper": [g.x, g.y, g.holding, g.closed]})
+            assert sim._head(clock, g) == json.dumps({"clock": clock, "gripper": [g.x, g.y, holding, holding is not None]})
 
     def test_odd_grippers_digest_as_the_plain_encoding(self):
         for x in (-0.0, 1e-300, 1e16, 3, math.nan, math.inf, -math.inf):
-            for holding, closed in ((None, False), ('a"b\\c', True), ("箱-1", True)):
+            for holding in (None, 'a"b\\c', "箱-1"):
                 world = world_with({'a"b\\c': obj("apple", 0.1, 0.2)})
-                world = replace(world, gripper=Gripper(x, 0.5, holding, closed), clock=7)
+                world = replace(world, gripper=Gripper(x, 0.5, holding), clock=7)
                 assert digest(world) == plain_digest(world)
 
 
@@ -891,7 +890,7 @@ def plain_trace(trace):
                 "action": bound_action_to_json(s.action),
                 "pre": s.pre_digest,
                 "post": s.post_digest,
-                "outcome": s.outcome,
+                "outcome": "ok" if s.reason is None else "failed",
                 "reason": s.reason,
             },
             sort_keys=True,
@@ -915,7 +914,7 @@ class TestTraceEncoding:
             if rng.random() < 0.3:
                 act = replace(act, confidence=LOW_CONFIDENCE)
             nxt, reason = apply_primitive(world, act, CFG)
-            steps.append(TraceStep(i, act, digest(world), digest(nxt), "ok" if reason is None else "failed", reason))
+            steps.append(TraceStep(i, act, digest(world), digest(nxt), reason))
             world = nxt
         trace = ExecutionTrace(tuple(steps))
         assert trace_to_jsonl(trace).splitlines() == plain_trace(trace).splitlines()
@@ -976,7 +975,7 @@ class TestFragmentHandoff:
 
     def test_an_equal_object_that_encodes_differently_is_encoded_anew(self):
         apple = obj("apple", 0.0, 0.5)
-        world = replace(world_with({"apple-0": apple}), gripper=Gripper(x=0.0, y=0.5, holding="apple-0", closed=True))
+        world = replace(world_with({"apple-0": apple}), gripper=Gripper(x=0.0, y=0.5, holding="apple-0"))
         digest(world)
         to = ObjectPose(x=-0.0, y=0.5, theta=0.0, class_name="apple")
         nxt, reason = apply_primitive(world, BoundAction(MOVE, primary=to), CFG)
@@ -1003,7 +1002,7 @@ class TestFragmentHandoff:
 
     def test_a_place_where_the_held_object_already_is_hands_on_the_objects(self):
         objects = {"apple-0": obj("apple", 0.1, 0.1), "box-1": obj("box", 0.5, 0.5, kind=CONTAINER)}
-        world = replace(world_with(objects), gripper=Gripper(x=0.1, y=0.1, holding="apple-0", closed=True))
+        world = replace(world_with(objects), gripper=Gripper(x=0.1, y=0.1, holding="apple-0"))
         world, reason = apply_primitive(world, BoundAction(MOVE, primary=pose_at(world, "box-1")), CFG)
         assert reason is None and world.objects["apple-0"] != objects["apple-0"]
         digest(world)
@@ -1018,7 +1017,7 @@ class TestFragmentHandoff:
             width=0.9,
             height=0.9,
             objects={"box-0": box, "apple-1": apple},
-            gripper=Gripper(x=0.5, y=0.5, holding="box-0", closed=True),
+            gripper=Gripper(x=0.5, y=0.5, holding="box-0"),
             inside={"apple-1": "box-0"},
         )
         digest(world)
@@ -1028,7 +1027,7 @@ class TestFragmentHandoff:
         assert digest(nxt) == plain_digest(nxt) and '"apple-1": ["apple", 0.0,' in nxt._objects
         # the apple stays at 0.0 == 0, but an int destination encodes differently
         apple = obj("apple", 0.0, 0.5)
-        held = replace(world, objects={"apple-1": apple}, gripper=Gripper(0.0, 0.5, "apple-1", True), inside={})
+        held = replace(world, objects={"apple-1": apple}, gripper=Gripper(0.0, 0.5, "apple-1"), inside={})
         digest(held)
         to = ObjectPose(x=0, y=0.5, theta=0.0, class_name="spot")
         nxt, reason = apply_primitive(held, BoundAction(MOVE, primary=to), CFG)

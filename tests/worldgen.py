@@ -29,7 +29,7 @@ def random_world(rng: random.Random) -> WorldState:
     if objects and rng.random() < 0.3:
         held = rng.choice(sorted(objects))
         o = objects[held]
-        gripper = Gripper(x=o.x, y=o.y, holding=held, closed=True)
+        gripper = Gripper(x=o.x, y=o.y, holding=held)
     return WorldState(width=0.9, height=0.9, objects=objects, gripper=gripper, zone=zone)
 
 
