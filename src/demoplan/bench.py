@@ -36,7 +36,6 @@ class BenchConfig:
 
 @dataclass
 class TaskResult:
-    task: str
     trials: int = 0
     successes: int = 0
     executed_steps: int = 0
@@ -88,7 +87,7 @@ def run_benchmark(cfg: BenchConfig) -> dict[str, TaskResult]:
     model, tasks = _load_inputs(cfg)
     results: dict[str, TaskResult] = {}
     for task_index, (task, inputs) in enumerate(tasks.items()):
-        result = TaskResult(task=task)
+        result = TaskResult()
         for trial in range(cfg.trials):
             seed = cfg.seed + task_index * cfg.trials + trial
             reason, steps = run_trial(inputs, model, seed, cfg)

@@ -24,7 +24,7 @@ from . import bench as bench_mod
 from . import fixtures
 from .actions import keys_from_names, load_label_stream, synthesize_stream, window_filter
 from .knowledge import build_model, load_corpus, load_lexicon, stats_tsv
-from .planner import BindingError, bind_plan, load_plan, plan_text, validate_plan
+from .planner import BindingError, bind_plan, dump_plan, load_plan, plan_text, validate_plan
 from .pose import load_calibration, load_mask_file, sense_scene
 from .sim import check_success, load_scenario, run_plan, trace_to_jsonl
 
@@ -39,15 +39,11 @@ def _err(message: str) -> None:
     print(f"demoplan: error: {message}", file=sys.stderr)
 
 
-def _write(path: str | None, text: str) -> None:
-    if path:
-        Path(path).write_text(text, encoding="utf-8")
-
-
 def cmd_filter(args: argparse.Namespace) -> int:
     keys = window_filter(load_label_stream(args.labels), args.window_width)
     text = json.dumps([k.value for k in keys]) + "\n"
-    _write(args.out, text)
+    if args.out:
+        Path(args.out).write_text(text, encoding="utf-8")
     sys.stdout.write(text)
     return EXIT_OK
 
@@ -64,9 +60,7 @@ def cmd_plan(args: argparse.Namespace) -> int:
         for v in violations:
             _err(f"validation: {v}")
         return EXIT_BINDING
-    text = plan_text(plan)
-    _write(args.out, text)
-    sys.stdout.write(text)
+    sys.stdout.write(dump_plan(plan, args.out) if args.out else plan_text(plan))
     return EXIT_OK
 
 
@@ -80,7 +74,8 @@ def cmd_run(args: argparse.Namespace) -> int:
                 _err(f"step {idx}: plan references class '{pose.class_name}' absent from scenario")
                 return EXIT_MISMATCH
     trace, final = run_plan(world, plan, sim_cfg)
-    _write(args.out, trace_to_jsonl(trace))
+    if args.out:
+        Path(args.out).write_text(trace_to_jsonl(trace), encoding="utf-8")
     if not trace.all_ok:
         failure = trace.failure
         print(f"FAILURE step {failure.index} ({failure.action.primitive.value}): {failure.reason}")

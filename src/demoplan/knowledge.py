@@ -26,10 +26,6 @@ from .jsondoc import array, load_json, primitive, record, text
 _TOKEN_RE = re.compile(r"[a-z0-9]+(?:-[a-z0-9]+)*")
 
 
-class EmptyModelError(ValueError):
-    """Raised when a corpus yields no parseable (action, object) pairs."""
-
-
 @dataclass(frozen=True)
 class Lexicon:
     """Surface-verb mapping plus the object vocabulary the parser can match.
@@ -55,8 +51,6 @@ class CooccurrenceModel:
     """Sentence-presence counts N(action, object) with per-action totals, and the lexicon's containers."""
 
     counts: dict[ActionPrimitive, dict[str, int]] = field(default_factory=dict)
-    sentence_count: int = 0
-    skipped_sentences: int = 0
     containers: frozenset[str] = frozenset()
 
     def action_total(self, action: ActionPrimitive) -> int:
@@ -78,7 +72,7 @@ class CooccurrenceModel:
             for o, n in objs.items():
                 if n < 0:
                     raise ValueError(f"negative count for ({a.value}, {o})")
-        return cls(counts=table, sentence_count=0, skipped_sentences=0)
+        return cls(counts=table)
 
 
 def parse_sentence(line: str, lex: Lexicon) -> list[tuple[ActionPrimitive, str]]:
@@ -120,23 +114,17 @@ def build_model(corpus: Sequence[str], lex: Lexicon) -> CooccurrenceModel:
     """Accumulate sentence-presence counts over a corpus.
 
     Each (action, object) pair found in a sentence increments its count at
-    most once for that sentence. Unparseable sentences are skipped and
-    tallied; a corpus with zero parseable sentences raises EmptyModelError.
+    most once for that sentence; a sentence with no pair adds nothing. A
+    corpus that yields no pair, empty or not, is a ValueError, which the CLI
+    reports as exit 2 with one line.
     """
-    if not corpus:
-        raise ValueError("corpus must be non-empty")
     model = CooccurrenceModel(containers=lex.containers)
     for line in corpus:
-        pairs = set(parse_sentence(line, lex))
-        model.sentence_count += 1
-        if not pairs:
-            model.skipped_sentences += 1
-            continue
-        for action, obj in pairs:
+        for action, obj in set(parse_sentence(line, lex)):
             table = model.counts.setdefault(action, {})
             table[obj] = table.get(obj, 0) + 1
-    if model.skipped_sentences == model.sentence_count:
-        raise EmptyModelError("no sentence in the corpus produced an (action, object) pair")
+    if not model.counts:
+        raise ValueError("no sentence in the corpus produced an (action, object) pair")
     return model
 
 

@@ -259,8 +259,11 @@ def plan_text(plan: BoundPlan) -> str:
     return json.dumps(plan_to_json(plan), indent=2, sort_keys=True) + "\n"
 
 
-def dump_plan(plan: BoundPlan, path: str | Path) -> None:
-    Path(path).write_text(plan_text(plan), encoding="utf-8")
+def dump_plan(plan: BoundPlan, path: str | Path) -> str:
+    """Write the plan file and return its text."""
+    text = plan_text(plan)
+    Path(path).write_text(text, encoding="utf-8")
+    return text
 
 
 def load_plan(path: str | Path) -> BoundPlan:

@@ -283,7 +283,7 @@ class ExecutionTrace:
 
     @property
     def all_ok(self) -> bool:
-        return all(s.reason is None for s in self.steps)
+        return self.failure is None
 
     @property
     def failure(self) -> TraceStep | None:

@@ -297,6 +297,10 @@ class TestSynthesizeStream:
         with pytest.raises(ValueError):
             synthesize_stream(KeySequence((PICK,)), 0, 0.0, seed=0)
 
+    def test_empty_keys_rejected(self):
+        with pytest.raises(ValueError, match="^keys must be non-empty$"):
+            synthesize_stream(KeySequence(()), 30, 0.1, 0)
+
     def test_recovery_degrades_with_noise(self):
         """Exact-recovery rate at 5% noise is at least the rate at 20%."""
         keys = keys_from_names(["idle", "move", "pick", "move", "place"])

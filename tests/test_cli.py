@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from demoplan import bench, fixtures
+from demoplan import bench, cli, fixtures, planner
 from demoplan.actions import dump_label_stream, keys_from_names, synthesize_stream
 from demoplan.cli import build_parser, main
 from demoplan.planner import load_plan, validate_plan
@@ -223,6 +223,27 @@ class TestPlan:
         )
         assert code == 0
         assert out.read_bytes() == capsys.readouterr().out.encode("utf-8")
+
+    def test_out_writes_through_dump_plan(self, capsys, tmp_path, monkeypatch):
+        """plan --out writes by planner.dump_plan, once; without --out it is not called."""
+        calls = []
+
+        def counted(plan, path):
+            calls.append(path)
+            return planner.dump_plan(plan, path)
+
+        monkeypatch.setattr(cli, "dump_plan", counted)
+        argv = ["plan", "--labels", str(fixtures.labels_path("pick_place")), "--masks", str(fixtures.masks_path("pick_place"))]
+        assert run_cli(*argv) == 0
+        printed = capsys.readouterr().out.encode("utf-8")
+        assert calls == []
+        out = tmp_path / "plan.json"
+        assert run_cli(*argv, "--out", str(out)) == 0
+        assert calls == [str(out)]
+        assert capsys.readouterr().out.encode("utf-8") == printed == out.read_bytes()
+        code = run_cli(*argv, "--out", str(tmp_path / "missing" / "plan.json"))
+        assert str(tmp_path / "missing") in assert_parse_error(code, capsys, quiet=True)
+        assert len(calls) == 2
 
     def test_validation_violation_exits_3(self, capsys, tmp_path):
         labels = tmp_path / "labels.jsonl"
@@ -444,6 +465,12 @@ class TestRun:
         assert len(lines) == 5
         assert all(l["outcome"] == "ok" for l in lines)
 
+    def test_without_out_no_trace_is_encoded(self, capsys, monkeypatch, pick_place_plan):
+        monkeypatch.setattr(cli, "trace_to_jsonl", lambda trace: pytest.fail("a trace was encoded"))
+        capsys.readouterr()
+        code = run_cli("run", "--plan", str(pick_place_plan), "--scenario", str(fixtures.scenario_path("pick_place")))
+        assert (code, *capsys.readouterr()) == (0, "SUCCESS: 5 steps\n", "")
+
     def test_unreached_goal_exits_1(self, capsys, tmp_path):
         plan = tmp_path / "idle.json"
         plan.write_text(json.dumps([{"primitive": "idle"}]))
@@ -634,6 +661,12 @@ class TestRun:
         scenario = tmp_path / "scenario.json"
         scenario.write_text(json.dumps(doc))
         return run_cli("run", "--plan", str(plan), "--scenario", str(scenario))
+
+    def test_an_int_too_large_for_a_float_exits_2(self, capsys, tmp_path):
+        plan = tmp_path / "plan.json"
+        plan.write_text("[]")
+        code = self.run_edited_scenario(tmp_path, plan, lambda doc: doc["objects"][0].update(radius=10**400))
+        assert assert_parse_error(code, capsys) == "demoplan: error: object 'banana-0' radius is not finite: inf\n"
 
     def test_duplicate_object_id_exits_2(self, capsys, tmp_path, pick_place_plan):
         code = self.run_edited_scenario(tmp_path, pick_place_plan, lambda doc: doc["objects"].append(doc["objects"][0]))

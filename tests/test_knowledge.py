@@ -7,7 +7,6 @@ import pytest
 from demoplan.actions import ActionPrimitive, KeySequence
 from demoplan.knowledge import (
     CooccurrenceModel,
-    EmptyModelError,
     Lexicon,
     SingleChoice,
     build_model,
@@ -93,13 +92,16 @@ class TestBuildModel:
             build_model([], lex)
 
     def test_unparseable_corpus_rejected(self, lex):
-        with pytest.raises(EmptyModelError):
+        with pytest.raises(ValueError, match=r"^no sentence in the corpus produced an \(action, object\) pair$"):
             build_model(["hello world", "nothing to see"], lex)
 
-    def test_skipped_tally(self, lex):
+    def test_a_sentence_without_a_pair_adds_nothing(self, lex):
         model = build_model(["pick the apple", "hello world"], lex)
-        assert model.sentence_count == 2
-        assert model.skipped_sentences == 1
+        assert model.counts == {PICK: {"apple": 1}}
+
+    def test_a_negative_count_is_refused(self):
+        with pytest.raises(ValueError, match=r"^negative count for \(pick, apple\)$"):
+            CooccurrenceModel.from_counts({PICK: {"apple": -1}})
 
     def test_counts_match_naive_scan_on_fixture_corpus(self, lex, fixture_model):
         # oracle: independent nested-loop counter over per-sentence pair sets
