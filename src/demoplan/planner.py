@@ -267,16 +267,19 @@ def dump_plan(plan: BoundPlan, path: str | Path) -> str:
 
 
 def load_plan(path: str | Path) -> BoundPlan:
-    """Read a plan file; a step or pose key that plan_text does not write is a ValueError naming it."""
+    """Read a plan file; a key plan_text does not write, or an unknown primitive or confidence, is a ValueError naming it."""
     steps = []
     for i, item in enumerate(array(load_json(path, "plan"), "plan")):
         item = record(item, f"plan step {i}", ("primitive", "primary", "target", "confidence"))
+        confidence = text(item.get("confidence", NORMAL), f"plan step {i} confidence")
+        if confidence not in (NORMAL, LOW_CONFIDENCE):
+            raise ValueError(f"plan step {i} confidence must be {NORMAL!r} or {LOW_CONFIDENCE!r}, not {confidence!r}")
         steps.append(
             BoundAction(
                 primitive=primitive(item["primitive"], f"plan step {i} primitive"),
                 primary=_pose_from_json(item.get("primary"), f"plan step {i} primary"),
                 target=_pose_from_json(item.get("target"), f"plan step {i} target"),
-                confidence=text(item.get("confidence", NORMAL), f"plan step {i} confidence"),
+                confidence=confidence,
             )
         )
     return BoundPlan(steps=tuple(steps))

@@ -506,6 +506,7 @@ class TestRun:
             [{"primitive": "pick", "primary": {"x": "0.1", "y": 0.1, "theta": 0.0, "class": "banana"}}],
             [{"primitive": "pick", "primary": {"x": 0.1, "y": 0.1, "theta": 0.0, "class": 5}}],
             [{"primitive": "idle", "confidence": 5}],
+            [{"primitive": "idle", "confidence": "banana"}],
             *(
                 [{"primitive": "pick", "primary": {"x": 0.1, "y": 0.1, "theta": 0.0, "class": "banana", "degenerate": v}}]
                 for v in ("false", [0], 5, None)

@@ -131,6 +131,11 @@ class TestPrincipalAngle:
         assert not degenerate
         assert angle_distance(theta, math.pi / 2) <= 1e-12
 
+    def test_angle_at_the_seam_wraps_to_zero(self):
+        """A raw angle of -1e-17 is math.pi modulo pi; the result stays in [0, pi)."""
+        theta, degenerate = principal_angle(Mask("seam", moments=(2, 1, 1, 5 * 10**16, 1, 0)))
+        assert (theta, degenerate) == (0.0, False)
+
 
 class TestEstimatePose:
     def test_horizontal_strip(self):
