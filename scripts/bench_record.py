@@ -15,8 +15,8 @@ and reported as a unit cost:
   labels  a seeded 30k-frame label stream, loaded and filtered (ns/frame)
   masks   the fixture masks upscaled 4x to 2400x2400 by perfbench's generator,
           split by encoding into point and RLE objects, loaded and sensed (ns/px)
-  plan    a seeded 10k-step plan over 24 objects, run and written as a JSONL
-          trace (us/step)
+  plan    a seeded 10k-step plan over 24 objects, run, written as a JSONL
+          trace and written as a plan file by dump_plan (us/step)
 
 The inputs come from the generators in ``perfbench/inputs.py``. A scale point
 is one reading, not a distribution: two files recorded at different times
@@ -54,7 +54,7 @@ sys.path[:0] = [str(ROOT / "src"), str(ROOT)]
 
 from demoplan import fixtures  # noqa: E402
 from demoplan.actions import load_label_stream, window_filter  # noqa: E402
-from demoplan.planner import load_plan  # noqa: E402
+from demoplan.planner import dump_plan, load_plan  # noqa: E402
 from demoplan.pose import load_calibration, load_mask_file, sense_scene  # noqa: E402
 from demoplan.sim import load_scenario, run_plan, trace_to_jsonl  # noqa: E402
 from perfbench import inputs  # noqa: E402
@@ -144,6 +144,7 @@ def plan_point(work: Path, steps: int, repeats: int) -> dict:
         "all_ok": trace.all_ok,
         "run_us_per_step": fastest_ns(lambda: run_plan(world, plan, cfg), repeats) / 1e3 / len(plan.steps),
         "trace_us_per_step": fastest_ns(lambda: trace_to_jsonl(trace), repeats) / 1e3 / len(plan.steps),
+        "write_us_per_step": fastest_ns(lambda: dump_plan(plan, work / "plan_out.json"), repeats) / 1e3 / len(plan.steps),
     }
 
 

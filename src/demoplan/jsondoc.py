@@ -2,7 +2,8 @@
 
 Every JSON loader reads its file through load_json, so a missing required
 field is reported one way everywhere: a ValueError that names the document
-and the field, such as "scenario is missing field 'workspace'".
+and the field, such as "scenario is missing field 'workspace'". So is a key
+that one object repeats: "calibration repeats key 'scale'".
 
 Loaders then read each field through one of eight readers, each of which
 returns the checked value or raises one ValueError that names the field:
@@ -25,37 +26,54 @@ from __future__ import annotations
 
 import json
 import math
+from collections import Counter
 from functools import cache
 from pathlib import Path
-from typing import Collection
+from typing import Callable, Collection
 
 from .actions import ActionPrimitive
 
 _KINDS = ((bool, "a boolean"), (str, "a string"), (list, "a list"), (dict, "an object"), (type(None), "null"))
 
 
+class _Repeated(ValueError):
+    """An object of the document holds one key twice."""
+
+
 @cache
-def _fields(document: str) -> type[dict]:
-    """The dict class, made once per document name, whose lookup of an absent field raises ValueError."""
+def _fields(document: str) -> Callable[[list[tuple[str, object]]], dict]:
+    """The object_pairs_hook, made once per document name; an object that repeats a key is a _Repeated naming it.
+
+    Each object becomes a dict whose lookup of an absent field raises ValueError.
+    """
 
     class Fields(dict):
         def __missing__(self, key):
             raise ValueError(f"{document} is missing field {key!r}")
 
-    return Fields
+    def build(pairs: list[tuple[str, object]]) -> dict:
+        doc = Fields(pairs)
+        if len(doc) != len(pairs):
+            key = next(k for k, n in Counter(k for k, _ in pairs).items() if n > 1)
+            raise _Repeated(f"{document} repeats key {key!r}")
+        return doc
+
+    return build
 
 
 def load_json(path: str | Path, document: str):
     """Parse a JSON file whose objects raise ValueError when an absent field is looked up.
 
-    Text that is not JSON, nests too deeply or holds an int too long to
-    convert is one ValueError naming the document.
+    Text that is not JSON, nests too deeply, holds an int too long to convert
+    or repeats a key within one object is one ValueError naming the document.
     """
     with open(path, "r", encoding="utf-8") as fh:
         try:
-            return json.load(fh, object_hook=_fields(document))
+            return json.load(fh, object_pairs_hook=_fields(document))
         except RecursionError:
             raise ValueError(f"{document} is nested too deeply") from None
+        except _Repeated:
+            raise
         except ValueError as exc:
             raise ValueError(f"{document} is not valid JSON ({exc})") from None
 

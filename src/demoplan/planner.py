@@ -193,18 +193,6 @@ def validate_plan(plan: BoundPlan) -> list[str]:
     return violations
 
 
-def _pose_to_json(pose: ObjectPose | None) -> dict | None:
-    if pose is None:
-        return None
-    return {
-        "x": pose.x,
-        "y": pose.y,
-        "theta": pose.theta,
-        "class": pose.class_name,
-        "degenerate": pose.degenerate,
-    }
-
-
 def _pose_from_json(doc: object, name: str) -> ObjectPose | None:
     if doc is None:
         return None
@@ -218,45 +206,43 @@ def _pose_from_json(doc: object, name: str) -> ObjectPose | None:
     )
 
 
-def bound_action_to_json(step: BoundAction) -> dict:
-    return {
-        "primitive": step.primitive.value,
-        "primary": _pose_to_json(step.primary),
-        "target": _pose_to_json(step.target),
-        "confidence": step.confidence,
-    }
+def _pose_text(pose: ObjectPose | None, start: str = "{", sep: str = ", ", end: str = "}") -> str:
+    """The pose as json.dumps writes {"class", "degenerate", "theta", "x", "y"} with sorted keys, spliced.
 
-
-def _pose_text(pose: ObjectPose | None) -> str:
-    """json.dumps(_pose_to_json(pose), sort_keys=True), spliced.
-
-    x - x == 0 holds for every finite number, so repr writes the numbers as
-    json does; a pose with NaN or an infinity goes to json's own spelling.
+    start, sep and end open, separate and close its items: one line by default.
+    str writes a finite number as json does; NaN and the infinities take json's spelling.
     """
     if pose is None:
         return "null"
     x, y, theta = pose.x, pose.y, pose.theta
     if not (x - x == 0 and y - y == 0 and theta - theta == 0):
-        return json.dumps(_pose_to_json(pose), sort_keys=True)
-    head = f'{{"class": {_quote(pose.class_name)}, "degenerate": {"true" if pose.degenerate else "false"}'
-    return f'{head}, "theta": {theta!r}, "x": {x!r}, "y": {y!r}}}'
-
-
-def action_json(step: BoundAction) -> str:
-    """The step as json.dumps(bound_action_to_json(step), sort_keys=True) writes it, spliced (see _pose_text)."""
+        x, y, theta = json.dumps(x), json.dumps(y), json.dumps(theta)
     return (
-        f'{{"confidence": {_quote(step.confidence)}, "primary": {_pose_text(step.primary)}, '
-        f'"primitive": {_quote(step.primitive.value)}, "target": {_pose_text(step.target)}}}'
+        f'{start}"class": {_quote(pose.class_name)}{sep}"degenerate": {"true" if pose.degenerate else "false"}'
+        f'{sep}"theta": {theta!s}{sep}"x": {x!s}{sep}"y": {y!s}{end}'
     )
 
 
-def plan_to_json(plan: BoundPlan) -> list[dict]:
-    return [bound_action_to_json(step) for step in plan.steps]
+def action_json(step: BoundAction, start: str = "{", sep: str = ", ", end: str = "}",
+                pose_start: str = "{", pose_sep: str = ", ", pose_end: str = "}") -> str:
+    """The step as json.dumps writes {"confidence", "primary", "primitive", "target"} with sorted keys, spliced.
+
+    Its layout and its poses' are given as _pose_text's; a trace line holds the default, one line.
+    """
+    primary = _pose_text(step.primary, pose_start, pose_sep, pose_end)
+    target = _pose_text(step.target, pose_start, pose_sep, pose_end)
+    return (
+        f'{start}"confidence": {_quote(step.confidence)}{sep}"primary": {primary}'
+        f'{sep}"primitive": {_quote(step.primitive.value)}{sep}"target": {target}{end}'
+    )
 
 
 def plan_text(plan: BoundPlan) -> str:
-    """The plan file's text: the JSON steps, indented, keys sorted, one trailing newline."""
-    return json.dumps(plan_to_json(plan), indent=2, sort_keys=True) + "\n"
+    """The plan file's text: json.dumps(steps, indent=2, sort_keys=True) with one trailing newline, spliced by action_json."""
+    if not plan.steps:
+        return "[]\n"
+    steps = [action_json(s, "{\n    ", ",\n    ", "\n  }", "{\n      ", ",\n      ", "\n    }") for s in plan.steps]
+    return "[\n  " + ",\n  ".join(steps) + "\n]\n"
 
 
 def dump_plan(plan: BoundPlan, path: str | Path) -> str:

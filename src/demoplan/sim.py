@@ -15,7 +15,8 @@ kinematics or time integration. Semantics per primitive:
           as inside it, so it rides along when the container later moves.
   push    requires an empty gripper; the bound object translates along the
           line toward the target object until their separation equals the
-          contact distance.
+          contact distance. A pushed object leaves the container it was in;
+          a pushed container takes its contents along.
   tilt    requires a held object and a container target within reach; marks
           a poured-into relation and sets the held object down on the spot.
   rotate  turns the bound object's cap by the configured angle; enough
@@ -407,11 +408,15 @@ def _move(world: WorldState, act: BoundAction, cfg: SimConfig) -> dict:
     return {"gripper": Gripper(dx, dy, None if handover else held), "objects": objects}
 
 
+def _leave(world: WorldState, oid: str) -> Mapping[str, str]:
+    """world.inside without oid's own entry: oid has left its container, while its own contents stay in it."""
+    return {k: c for k, c in world.inside.items() if k != oid} if oid in world.inside else world.inside
+
+
 def _pick(world: WorldState, act: BoundAction, cfg: SimConfig) -> dict:
     oid = _find(world, act.primary)
     obj = _reach(world, oid, cfg)
-    inside = {k: c for k, c in world.inside.items() if k != oid} if oid in world.inside else world.inside
-    return {"gripper": Gripper(obj.x, obj.y, oid), "inside": inside}
+    return {"gripper": Gripper(obj.x, obj.y, oid), "inside": _leave(world, oid)}
 
 
 def _place(world: WorldState, act: BoundAction, cfg: SimConfig) -> dict:
@@ -438,7 +443,7 @@ def _push(world: WorldState, act: BoundAction, cfg: SimConfig) -> dict:
     nx, ny = to.x - cfg.contact * ux, to.y - cfg.contact * uy
     group = {pid} | (_contents(world, pid) if po.kind == CONTAINER else set())
     objects = _moved(world, _shift(world, group, nx - po.x, ny - po.y), "push would leave the workspace")
-    return {"objects": objects, "gripper": Gripper(nx, ny)}
+    return {"objects": objects, "gripper": Gripper(nx, ny), "inside": _leave(world, pid)}
 
 
 def _tilt(world: WorldState, act: BoundAction, cfg: SimConfig) -> dict:
@@ -521,7 +526,8 @@ def check_invariants(world: WorldState, start: WorldState) -> list[str]:
     """The simulator invariants that world breaks, given the state it was run from.
 
     The gripper holds at most one object, which exists and sits exactly at
-    the gripper; containment relates existing objects and has no cycle; every
+    the gripper; containment relates existing objects, has no cycle and keeps
+    each contained object within 1e-9 of its container's position; every
     object lies inside the workspace; the object ids are those of start. An
     empty list means every invariant holds. run_plan does not call this, so
     checking costs nothing unless a caller asks for it.
@@ -538,6 +544,8 @@ def check_invariants(world: WorldState, start: WorldState) -> list[str]:
     for child, parent in sorted(inside.items()):
         if child not in objects or parent not in objects:
             out.append(f"{child} inside {parent} names a missing object")
+        elif _dist(objects[child].x, objects[child].y, objects[parent].x, objects[parent].y) > _SEP_TOL:
+            out.append(f"{child} inside {parent} lies away from it")
         node, seen = parent, {child}
         while node in inside and node not in seen:
             seen.add(node)

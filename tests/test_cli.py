@@ -410,6 +410,21 @@ class TestPlan:
         )
         assert "calibration takes no sclae" in assert_parse_error(code, capsys)
 
+    @pytest.mark.parametrize(
+        "option, text, words",
+        [
+            ("--calibration", '{"scale": -1, "scale": 0.0015, "origin": [0, 0]}', "calibration repeats key 'scale'"),
+            ("--masks", '{"objects": [{"class": "a", "points": [[1, 2]], "class": "b"}]}', "mask file repeats key 'class'"),
+        ],
+        ids=["calibration", "mask_object"],
+    )
+    def test_a_repeated_key_exits_2_naming_it(self, capsys, tmp_path, option, text, words):
+        path = tmp_path / "doc.json"
+        path.write_text(text)
+        files = {"--labels": fixtures.labels_path("pick_place"), "--masks": fixtures.masks_path("pick_place"), option: path}
+        code = run_cli("plan", *(arg for item in files.items() for arg in map(str, item)))
+        assert assert_parse_error(code, capsys) == f"demoplan: error: {words}\n"
+
     @pytest.mark.parametrize("where", ["top", "object"])
     def test_a_stray_mask_field_exits_2_naming_it(self, capsys, tmp_path, where):
         doc = json.loads(fixtures.masks_path("pick_place").read_text())

@@ -16,14 +16,13 @@ from demoplan.planner import (
     NORMAL,
     action_json,
     bind_plan,
-    bound_action_to_json,
     dump_plan,
     load_plan,
-    plan_to_json,
+    plan_text,
     validate_plan,
 )
 from demoplan.pose import ObjectPose, load_calibration, load_mask_file, sense_scene
-from worldgen import ODD_NAMES, odd_number
+from worldgen import ODD_NAMES, odd_number, step_doc
 
 IDLE = ActionPrimitive.IDLE
 MOVE = ActionPrimitive.MOVE
@@ -271,10 +270,11 @@ class TestPlanIO:
 
 
 class TestActionJson:
-    """action_json is spliced; it must be the text json.dumps writes for the step with sorted keys."""
+    """action_json and plan_text are spliced; they must be the text json.dumps writes for the steps with sorted keys."""
 
-    def test_fuzzed_steps_against_json(self):
-        rng = random.Random(16)
+    @staticmethod
+    def odd_step(rng):
+        """A step whose poses and names take every spelling json has: NaN, the infinities, -0.0, ints, escapes."""
 
         def odd_pose():
             if rng.random() < 0.2:
@@ -282,10 +282,22 @@ class TestActionJson:
             x, y, theta = (odd_number(rng) for _ in range(3))
             return ObjectPose(x, y, theta, rng.choice(ODD_NAMES), rng.random() < 0.5)
 
+        confidence = rng.choice((NORMAL, LOW_CONFIDENCE) + ODD_NAMES)
+        return BoundAction(rng.choice(list(ActionPrimitive)), odd_pose(), odd_pose(), confidence)
+
+    def test_fuzzed_steps_against_json(self):
+        rng = random.Random(16)
         for _ in range(3000):
-            confidence = rng.choice((NORMAL, LOW_CONFIDENCE) + ODD_NAMES)
-            step = BoundAction(rng.choice(list(ActionPrimitive)), odd_pose(), odd_pose(), confidence)
-            assert action_json(step) == json.dumps(bound_action_to_json(step), sort_keys=True)
+            step = self.odd_step(rng)
+            assert action_json(step) == json.dumps(step_doc(step), sort_keys=True)
+
+    def test_fuzzed_plans_against_indented_json(self):
+        rng = random.Random(17)
+        for _ in range(1000):
+            steps = tuple(self.odd_step(rng) for _ in range(rng.randint(0, 5)))
+            want = json.dumps([step_doc(s) for s in steps], indent=2, sort_keys=True) + "\n"
+            assert plan_text(BoundPlan(steps)) == want
+        assert plan_text(BoundPlan(())) == "[]\n"
 
 
 class TestBindingSignature:
@@ -311,7 +323,7 @@ class TestBindingSignature:
                 except BindingError as exc:
                     h.update(f"{exc}\n".encode())
                     continue
-                h.update(f"{json.dumps(plan_to_json(plan), sort_keys=True)}|{validate_plan(plan)}\n".encode())
+                h.update(f"{json.dumps([step_doc(s) for s in plan.steps], sort_keys=True)}|{validate_plan(plan)}\n".encode())
         assert h.hexdigest() == self.EXPECTED
 
 
@@ -351,5 +363,5 @@ class TestBindingSignatureRandomCounts:
                     except BindingError as exc:
                         h.update(f"{exc.step_index}|{exc}\n".encode())
                         continue
-                    h.update(f"{json.dumps(plan_to_json(plan), sort_keys=True)}|{validate_plan(plan)}\n".encode())
+                    h.update(f"{json.dumps([step_doc(s) for s in plan.steps], sort_keys=True)}|{validate_plan(plan)}\n".encode())
         assert h.hexdigest() == self.EXPECTED

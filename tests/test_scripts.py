@@ -105,6 +105,7 @@ class TestBenchRecord:
         for encoding in ("points", "rle_rows"):
             assert scale["masks"][encoding]["px"] > 0 and scale["masks"][encoding]["load_ns_per_px"] > 0
         assert scale["plan"]["steps"] == 40 and scale["plan"]["all_ok"] and scale["plan"]["run_us_per_step"] > 0
+        assert scale["plan"]["write_us_per_step"] > 0
 
     def test_the_source_hash_names_the_package_source(self, tmp_path):
         script = load_script("bench_record")

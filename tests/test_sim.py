@@ -6,18 +6,19 @@ from collections import Counter
 from dataclasses import fields, replace
 
 import pytest
-from worldgen import ODD_NAMES, odd_number, random_action, random_world
+from worldgen import ODD_NAMES, odd_number, random_action, random_world, step_doc
 
 from demoplan import fixtures, sim
-from demoplan.actions import ActionPrimitive, keys_from_names
+from demoplan.actions import ActionPrimitive, keys_from_names, synthesize_stream, window_filter
+from demoplan.bench import BenchConfig, _load_inputs
 from demoplan.knowledge import build_model, load_corpus, load_lexicon
 from demoplan.planner import (
     CONTRACTS,
     LOW_CONFIDENCE,
+    BindingError,
     BoundAction,
     BoundPlan,
     bind_plan,
-    bound_action_to_json,
     validate_plan,
 )
 from demoplan.pose import ObjectPose, load_calibration, load_mask_file, sense_scene
@@ -226,6 +227,35 @@ class TestPush:
         w = world_with({"g-0": obj("grape", 0.3, 0.3)})
         _, reason = apply_primitive(w, BoundAction(PUSH, primary=pose_at(w, "g-0")), CFG)
         assert reason is not None
+
+    APPLE_IN_BOWL = replace(
+        world_with({"bowl-0": obj("bowl", 0.5, 0.5, kind=CONTAINER), "apple-1": obj("apple", 0.5, 0.5), "cup-2": obj("cup", 0.2, 0.5)}),
+        inside={"apple-1": "bowl-0"},
+    )
+
+    def test_pushed_object_leaves_its_container(self):
+        w = self.APPLE_IN_BOWL
+        pushed, reason = apply_primitive(w, BoundAction(PUSH, primary=pose_at(w, "apple-1"), target=pose_at(w, "cup-2")), CFG)
+        assert reason is None and dict(pushed.inside) == {}
+        apple = pushed.objects["apple-1"]
+        assert (apple.x, apple.y) != (0.5, 0.5)
+        world = pushed
+        for act in (
+            BoundAction(MOVE, target=pose_at(w, "bowl-0")),
+            BoundAction(PICK, primary=pose_at(w, "bowl-0")),
+            BoundAction(MOVE, target=ObjectPose(0.7, 0.7, 0.0, "bowl")),
+        ):
+            world, reason = apply_primitive(world, act, CFG)
+            assert reason is None
+        assert (world.objects["bowl-0"].x, world.objects["bowl-0"].y) == (0.7, 0.7)
+        assert world.objects["apple-1"] == apple
+        assert check_invariants(world, w) == []
+
+    def test_pushed_container_keeps_its_contents(self):
+        w = self.APPLE_IN_BOWL
+        pushed, reason = apply_primitive(w, BoundAction(PUSH, primary=pose_at(w, "bowl-0"), target=pose_at(w, "cup-2")), CFG)
+        assert reason is None and dict(pushed.inside) == {"apple-1": "bowl-0"}
+        assert check_invariants(pushed, w) == []
 
 
 class TestGripperRefusals:
@@ -684,7 +714,9 @@ class TestCheckInvariants:
         assert check_invariants(broken, start) == [
             "held object bowl-1 is not at the gripper",
             "apple-3 inside box-0 names a missing object",
+            "bowl-1 inside box-0 lies away from it",
             "containment cycle through bowl-1",
+            "box-0 inside bowl-1 lies away from it",
             "containment cycle through box-0",
             "box-0 lies outside the workspace",
             "object ids changed: 2 -> 3",
@@ -716,12 +748,34 @@ class TestRandomizedInvariants:
             assert all(0 <= o.x <= 0.9 and 0 <= o.y <= 0.9 for o in world.objects.values())
             assert check_invariants(world, start) == []
 
+    def test_every_state_of_the_noisy_bench_trials(self):
+        cfg = BenchConfig(trials=100, noise_rate=0.30, seed=5)
+        model, tasks = _load_inputs(cfg)
+        states = 0
+        for task_index, (golden, poses, (start, _, sim_cfg)) in enumerate(tasks.values()):
+            for trial in range(cfg.trials):
+                stream = synthesize_stream(golden, cfg.frames_per_key, cfg.noise_rate, cfg.seed + task_index * cfg.trials + trial)
+                try:
+                    plan = bind_plan(window_filter(stream, cfg.window_width), poses, model)
+                except BindingError:
+                    continue
+                if validate_plan(plan):
+                    continue
+                trace, _ = run_plan(start, plan, sim_cfg)
+                world = start
+                for step in trace.steps:
+                    world, _ = apply_primitive(world, step.action, sim_cfg)
+                    assert digest(world) == step.post_digest
+                    assert check_invariants(world, start) == []
+                    states += 1
+        assert states > 0
+
 
 class TestReasonSignature:
     """Every reason string and resulting world of a seeded fuzz, pinned by one hash."""
 
     CONFIGS = (CFG, SimConfig(reach=0.5, contact=0.1, cap_turn_angle=math.pi, open_turn_angle=2.5 * math.pi))
-    EXPECTED = "bff5c41a2020294ffa590b8f45daa4340667d679547cfa5fe268a8676b87ade6"
+    EXPECTED = "e801bec0e417cb61df2a33626d76520762b38794a058af7e211a65148a46f39f"
 
     def test_reasons_and_digests_are_unchanged(self):
         h = hashlib.sha256()
@@ -887,7 +941,7 @@ def plain_trace(trace):
         json.dumps(
             {
                 "step": s.index,
-                "action": bound_action_to_json(s.action),
+                "action": step_doc(s.action),
                 "pre": s.pre_digest,
                 "post": s.post_digest,
                 "outcome": "ok" if s.reason is None else "failed",

@@ -50,6 +50,23 @@ def random_action(rng: random.Random, world: WorldState) -> BoundAction:
     return BoundAction(primitive, primary=maybe_pose(), target=maybe_pose())
 
 
+def _pose_doc(pose: ObjectPose | None) -> dict | None:
+    """The pose as a plan file or trace line holds it, before encoding."""
+    if pose is None:
+        return None
+    return {"x": pose.x, "y": pose.y, "theta": pose.theta, "class": pose.class_name, "degenerate": pose.degenerate}
+
+
+def step_doc(step: BoundAction) -> dict:
+    """The step as a plan file or trace line holds it, before encoding: the oracle of planner's spliced encoder."""
+    return {
+        "primitive": step.primitive.value,
+        "primary": _pose_doc(step.primary),
+        "target": _pose_doc(step.target),
+        "confidence": step.confidence,
+    }
+
+
 # numbers json spells in every way it can: ints, ordinary and extreme floats, -0.0 and the non-finite
 ODD_NUMBERS = (0, 1, -7, 10**20, 0.0, -0.0, 0.1, -2.5, 1e-300, 5e-324, 1e16, 1.7976931348623157e308,
                math.nan, math.inf, -math.inf)
