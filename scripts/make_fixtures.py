@@ -20,7 +20,7 @@ ROOT = Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(ROOT / "src"))
 
 from demoplan.actions import dump_label_stream, keys_from_names, synthesize_stream
-from demoplan.pose import Calibration, estimate_pose, load_mask_file, to_world
+from demoplan.pose import Calibration, load_mask_file, sense_scene
 
 FIXTURES = ROOT / "src" / "demoplan" / "fixtures"
 
@@ -155,13 +155,12 @@ def main() -> None:
         # scenario poses come from the masks themselves so that the planner's
         # sensed poses and the simulator's world agree exactly
         scenario_objects = []
-        for i, mask in enumerate(load_mask_file(mask_path)):
-            pose = to_world(estimate_pose(mask), cal)
-            kind = SHAPES[mask.class_name][0]
+        for i, pose in enumerate(sense_scene(load_mask_file(mask_path), cal)):
+            kind = SHAPES[pose.class_name][0]
             scenario_objects.append(
                 {
-                    "id": f"{mask.class_name}-{i}",
-                    "class": mask.class_name,
+                    "id": f"{pose.class_name}-{i}",
+                    "class": pose.class_name,
                     "kind": kind,
                     "pose": [pose.x, pose.y, pose.theta],
                     "radius": RADIUS[kind],

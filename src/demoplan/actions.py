@@ -22,6 +22,8 @@ from itertools import count, islice
 from pathlib import Path
 from typing import Iterable, Sequence
 
+from .jsondoc import _Repeated, _fields, text
+
 
 class ActionPrimitive(str, Enum):
     """The closed set of seven primitives describing hand/end-effector activity.
@@ -37,13 +39,14 @@ class ActionPrimitive(str, Enum):
     TILT = "tilt"
     ROTATE = "rotate"
 
-    @classmethod
-    def parse(cls, token: str) -> "ActionPrimitive":
-        """Parse an exact lowercase token; any other string is rejected."""
-        try:
-            return cls(token)
-        except ValueError:
-            raise ValueError(f"unknown action primitive {token!r}") from None
+
+def primitive(value: object, name: str) -> ActionPrimitive:
+    """The one reader of a token in a plan, a lexicon or a key list; any other value is a ValueError naming the field."""
+    token = text(value, name)
+    try:
+        return ActionPrimitive(token)
+    except ValueError:
+        raise ValueError(f"{name} must be an action primitive, not {token!r}") from None
 
 
 PRIMITIVES: tuple[ActionPrimitive, ...] = tuple(ActionPrimitive)
@@ -226,7 +229,7 @@ def load_label_stream(path: str | Path) -> PrimitiveStream:
 
     Frames must be contiguous ascending from 0. Raises LabelStreamError with
     the offending line number on any malformed record, including one nested
-    too deeply or holding an int too long to convert.
+    too deeply, holding an int too long to convert or repeating a key.
 
     The file is read a block of whole lines at a time, never all at once and
     never by seeking. A block that is exactly the text dump_label_stream
@@ -254,7 +257,7 @@ def _load_lines(lines: list[str], before: int, frames: list[ActionPrimitive]) ->
     """Append the records of `lines`, which follow line `before`, to frames, one json.loads each.
 
     A line is passed to json.loads once it is known to hold no byte that is
-    not UTF-8 (each decodes to a lone surrogate).
+    not UTF-8 (each decodes to a lone surrogate). A repeated key is refused.
     """
     for lineno, raw in enumerate(lines, start=before + 1):
         line = raw.strip()
@@ -262,11 +265,13 @@ def _load_lines(lines: list[str], before: int, frames: list[ActionPrimitive]) ->
             continue
         try:
             line.encode("utf-8")
-            record = json.loads(line)
+            record = json.loads(line, object_pairs_hook=_fields("label stream"))
         except UnicodeEncodeError:
             raise LabelStreamError(lineno, "not valid UTF-8") from None
         except RecursionError:
             raise LabelStreamError(lineno, "JSON nested too deeply") from None
+        except _Repeated as exc:
+            raise LabelStreamError(lineno, str(exc)) from None
         except ValueError as exc:  # a JSONDecodeError, or an int over Python's digit limit
             raise LabelStreamError(lineno, f"invalid JSON ({getattr(exc, 'msg', exc)})") from None
         if not isinstance(record, dict) or "frame" not in record or "label" not in record:
@@ -287,4 +292,4 @@ def dump_label_stream(stream: PrimitiveStream, path: str | Path) -> None:
 
 
 def keys_from_names(names: Iterable[str]) -> KeySequence:
-    return KeySequence(tuple(ActionPrimitive.parse(n) for n in names))
+    return KeySequence(tuple(primitive(n, f"key {i}") for i, n in enumerate(names)))

@@ -5,7 +5,7 @@ field is reported one way everywhere: a ValueError that names the document
 and the field, such as "scenario is missing field 'workspace'". So is a key
 that one object repeats: "calibration repeats key 'scale'".
 
-Loaders then read each field through one of eight readers, each of which
+Loaders then read each field through one of seven readers, each of which
 returns the checked value or raises one ValueError that names the field:
 
   number    a finite JSON int or float, as a float; a boolean, a string,
@@ -19,7 +19,6 @@ returns the checked value or raises one ValueError that names the field:
             refused, never coerced with str().
   flag      a JSON boolean; a string such as "false", a number, null, a list
             or an object is refused, never coerced with bool().
-  primitive a JSON string that is one of the seven action primitive tokens.
 """
 
 from __future__ import annotations
@@ -30,8 +29,6 @@ from collections import Counter
 from functools import cache
 from pathlib import Path
 from typing import Callable, Collection
-
-from .actions import ActionPrimitive
 
 _KINDS = ((bool, "a boolean"), (str, "a string"), (list, "a list"), (dict, "an object"), (type(None), "null"))
 
@@ -136,11 +133,3 @@ def flag(value: object, name: str) -> bool:
     if not isinstance(value, bool):
         raise ValueError(f"{name} must be a boolean, not {_kind(value)}")
     return value
-
-
-def primitive(value: object, name: str) -> ActionPrimitive:
-    token = text(value, name)
-    try:
-        return ActionPrimitive(token)
-    except ValueError:
-        raise ValueError(f"{name} must be an action primitive, not {token!r}") from None

@@ -20,8 +20,8 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
-from .actions import ActionPrimitive
-from .jsondoc import array, load_json, primitive, record, text
+from .actions import ActionPrimitive, primitive
+from .jsondoc import array, load_json, record, text
 
 _TOKEN_RE = re.compile(r"[a-z0-9]+(?:-[a-z0-9]+)*")
 

@@ -26,8 +26,8 @@ from json.encoder import encode_basestring_ascii as _quote
 from pathlib import Path
 from typing import NamedTuple, Sequence
 
-from .actions import ActionPrimitive, KeySequence
-from .jsondoc import array, flag, load_json, number, primitive, record, text
+from .actions import ActionPrimitive, KeySequence, primitive
+from .jsondoc import array, flag, load_json, number, record, text
 from .knowledge import CooccurrenceModel, rank_candidates
 from .pose import ObjectPose
 

@@ -8,10 +8,10 @@ and the class label. Theta is an axis, not a direction, so it lives in
 fruit) have no meaningful axis and are flagged degenerate with theta = 0.
 
 A mask is reduced at load to its exact integer moments n, Sx, Sy, Sxx, Syy
-and Sxy (Hu 1962). A point list is type-checked and split into an x column
-and a y column in one flat pass, and the duplicate check and the sums read
-the columns; a run-length row has a closed form and is never expanded into
-pixels. A mask whose moments do not fit a float is a ValueError.
+and Sxy (Hu 1962). _int_rows type-checks either encoding's rows in one flat
+pass and returns their columns: a point list's x and y, which the duplicate
+check and the sums read, or a run-length row's closed-form triples, never
+expanded into pixels. A mask whose moments do not fit a float is a ValueError.
 
 json builds one list per pixel of a point list, and every collection of the
 cyclic garbage collector during a load walks them all, so load_mask_file
@@ -74,7 +74,7 @@ def _point_moments(xs: Sequence[int], ys: Sequence[int]) -> tuple[int, int, int,
     return len(xs), sum(xs), sum(ys), sum(map(mul, xs, xs)), sum(map(mul, ys, ys)), sum(map(mul, xs, ys))
 
 
-def _run_moments(runs: list[list[int]]) -> tuple[int, int, int, int, int, int]:
+def _run_moments(runs: list[tuple[int, int, int]]) -> tuple[int, int, int, int, int, int]:
     """Moments of row runs (y, x_start, k), each in closed form over x, x+1, ..., x+k-1."""
     n = sx = sy = sxx = syy = sxy = 0
     for y, x, k in runs:
@@ -172,13 +172,14 @@ def sense_scene(masks: Iterable[Mask], cal: Calibration) -> tuple[ObjectPose, ..
     return tuple(to_world(estimate_pose(m), cal) for m in masks)
 
 
-def _int_rows(value: object, what: str) -> list[list[int]]:
-    """A non-empty JSON list of run-length rows, each a list of exactly 3 ints, returned as it is."""
+def _int_rows(value: object, k: int, what: str) -> list[list[int]]:
+    """A non-empty JSON list of rows, each a list of exactly k ints, checked in one flat pass and returned as k columns."""
     rows = array(value, what, nonempty=True)
-    typed = set(map(type, rows)) == {list} and set(map(len, rows)) == {3}
-    if typed and {int}.issuperset(map(type, chain.from_iterable(rows))):  # a bool is not an int here
-        return rows
-    raise ValueError(f"{what} must be lists of 3 integers")
+    typed = set(map(type, rows)) == {list} and set(map(len, rows)) == {k}
+    flat = list(chain.from_iterable(rows)) if typed else []
+    if flat and {int}.issuperset(map(type, flat)):  # a bool is not an int here
+        return [flat[i::k] for i in range(k)]
+    raise ValueError(f"{what} must be lists of {k} integers")
 
 
 def load_mask_file(path: str | Path) -> tuple[Mask, ...]:
@@ -214,17 +215,12 @@ def _read_masks(path: str | Path) -> tuple[Mask, ...]:
         if ("points" in obj) == ("rle_rows" in obj):
             raise ValueError(f"{what} needs exactly one of 'points' and 'rle_rows'")
         if "points" in obj:
-            rows = array(obj["points"], f"{what} points", nonempty=True)
-            pairs = set(map(type, rows)) == {list} and set(map(len, rows)) == {2}
-            flat = list(chain.from_iterable(rows)) if pairs else []  # x0, y0, x1, y1, ...
-            if not (pairs and {int}.issuperset(map(type, flat))):  # a bool is not an int here
-                raise ValueError(f"{what} points must be lists of 2 integers")
-            xs, ys = flat[0::2], flat[1::2]
+            xs, ys = _int_rows(obj["points"], 2, f"{what} points")
             span = max(ys) - min(ys) + 1  # x*span + y is one int per pixel, distinct for distinct pixels
             unique = len(set(map(add, map(mul, xs, repeat(span)), ys))) == len(xs)
             moments = _point_moments(xs, ys)
         else:
-            runs = sorted(_int_rows(obj["rle_rows"], f"{what} rle_rows"))
+            runs = sorted(zip(*_int_rows(obj["rle_rows"], 3, f"{what} rle_rows")))
             if min(k for _, _, k in runs) < 1:
                 raise ValueError(f"{what} has an rle run length below 1")
             unique = all(y0 != y1 or x0 + k0 <= x1 for (y0, x0, k0), (y1, x1, _) in zip(runs, runs[1:]))

@@ -42,14 +42,20 @@ class TestActionPrimitive:
             "idle", "move", "pick", "place", "push", "tilt", "rotate",
         }
 
-    def test_parse_round_trip(self):
+    def test_primitive_round_trip(self):
         for p in PRIMITIVES:
-            assert ActionPrimitive.parse(p.value) is p
+            assert actions.primitive(p.value, "step") is p
 
     @pytest.mark.parametrize("token", ["grab", "Idle", "PICK", "", "pick "])
-    def test_parse_rejects_unknown_tokens(self, token):
-        with pytest.raises(ValueError):
-            ActionPrimitive.parse(token)
+    def test_primitive_rejects_unknown_tokens(self, token):
+        with pytest.raises(ValueError, match=f"^step must be an action primitive, not {token!r}$"):
+            actions.primitive(token, "step")
+
+    def test_key_list_names_the_bad_key(self):
+        with pytest.raises(ValueError, match="^key 3 must be an action primitive, not 'grab'$"):
+            keys_from_names(["idle", "move", "pick", "grab"])
+        with pytest.raises(ValueError, match="^key 1 must be a string, not a number$"):
+            keys_from_names(["idle", 5])
 
 
 class TestWindowMode:
@@ -368,6 +374,14 @@ class TestLabelStreamIO:
             load_label_stream(path)
 
 
+def refuse_repeated_keys(pairs):
+    keys = [k for k, _ in pairs]
+    for k in keys:
+        if keys.count(k) > 1:
+            raise ValueError(f"label stream repeats key {k!r}")
+    return dict(pairs)
+
+
 def load_label_stream_per_line(path):
     """The per-line loader the bulk parse must agree with, kept here as the oracle."""
     frames = []
@@ -378,19 +392,21 @@ def load_label_stream_per_line(path):
             if not raw:
                 continue
             try:
-                record = json.loads(raw)
+                record = json.loads(raw, object_pairs_hook=refuse_repeated_keys)
             except json.JSONDecodeError as exc:
                 raise LabelStreamError(lineno, f"invalid JSON ({exc.msg})") from None
+            except ValueError as exc:
+                raise LabelStreamError(lineno, str(exc)) from None
             if not isinstance(record, dict) or "frame" not in record or "label" not in record:
                 raise LabelStreamError(lineno, "record must carry 'frame' and 'label'")
             if type(record["frame"]) is not int or record["frame"] != expected:
                 raise LabelStreamError(
                     lineno, f"frame {record['frame']!r} breaks contiguous order (expected {expected})"
                 )
-            try:
-                frames.append(ActionPrimitive.parse(record["label"]))
-            except ValueError as exc:
-                raise LabelStreamError(lineno, str(exc)) from None
+            # a list, not a set: an unhashable label is refused, not a TypeError
+            if record["label"] not in [p.value for p in PRIMITIVES]:
+                raise LabelStreamError(lineno, f"unknown action primitive {record['label']!r}")
+            frames.append(ActionPrimitive(record["label"]))
             expected += 1
     if not frames:
         raise LabelStreamError(1, "label stream is empty")
@@ -463,7 +479,7 @@ class TestBulkLabelParse:
             [one_line, '{"frame": 2, "label": [{}', '{}]}'],
             # joined with a comma these read as two good records, one per line
             ['{"frame": 0, "label": "idle"}, {"frame": 1', '"label": "move"}'],
-            # a repeated "label" key overrides a value spanning two lines
+            # a value spanning two lines, then a repeated "label" key
             [one_line, '{"frame": 2, "label": [{}', '{}], "label": "idle"}'],
             [one_line, '{"frame": 2, "label": "}', '{", "label": "idle"}'],
         ):
@@ -505,7 +521,7 @@ class TestBulkLabelParse:
             '{"frame":0,"label":"idle"}',
             '{\t"frame"\t:\t0\t,\t"label"\t:\t"idle"\t}',
             '{"label": "idle", "frame": 0}',
-            '{"frame": 0, "label": "grab", "label": "idle"}',
+            '{"frame": 0, "label": "grab", "label": "idle"}',  # refused: a repeated key
             '{"frame": 0, "label": "idle"}}',
             '{"frame": 0, "label": "idle", }',
         ):
@@ -513,7 +529,7 @@ class TestBulkLabelParse:
             expected = outcome(load_label_stream_per_line, path)
             assert outcome(load_label_stream, path) == expected, line
             loaded += isinstance(expected, PrimitiveStream)
-        assert loaded == 6
+        assert loaded == 5
 
     def test_seeded_damage_matches_per_line_loop(self, tmp_path):
         rng = random.Random(20261018)

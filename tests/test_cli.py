@@ -82,8 +82,9 @@ class TestFilter:
             '{"frame": 1, "label": ' + "[" * 100_000 + "]" * 100_000 + "}",
             '{"frame": ' + "1" * 5_000 + ', "label": "idle"}',
             '{"frame": 1, "label": "\udcff"}',  # the byte 0xff, which is not UTF-8
+            '{"frame": 1, "label": "idle", "label": "pick"}',
         ],
-        ids=["nested", "long_int", "invalid_utf8"],
+        ids=["nested", "long_int", "invalid_utf8", "repeated_key"],
     )
     def test_unreadable_line_exits_2_citing_line(self, capsys, tmp_path, line):
         # raw text: json.dumps cannot write any of these lines

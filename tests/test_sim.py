@@ -4,6 +4,7 @@ import math
 import random
 from collections import Counter
 from dataclasses import fields, replace
+from pathlib import Path
 
 import pytest
 from worldgen import ODD_NAMES, odd_number, random_action, random_world, step_doc
@@ -19,6 +20,7 @@ from demoplan.planner import (
     BoundAction,
     BoundPlan,
     bind_plan,
+    load_plan,
     validate_plan,
 )
 from demoplan.pose import ObjectPose, load_calibration, load_mask_file, sense_scene
@@ -50,6 +52,7 @@ TILT = ActionPrimitive.TILT
 ROTATE = ActionPrimitive.ROTATE
 
 CFG = SimConfig()
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def obj(name, x, y, kind="item", radius=0.03):
@@ -769,6 +772,29 @@ class TestRandomizedInvariants:
                     assert check_invariants(world, start) == []
                     states += 1
         assert states > 0
+
+    def test_every_state_of_the_long_horizon_plans(self, monkeypatch, tmp_path):
+        """The four long_horizon plans at seeds 0 and 11, drawn as perfbench/workloads.py::LongHorizon draws them."""
+        monkeypatch.syspath_prepend(str(ROOT))
+        from perfbench import inputs, workloads
+
+        long, per_key = workloads.LongHorizon, workloads.FRAMES_PER_KEY
+        states = 0
+        for seed in (0, 11):
+            for d in range(long.DEMOS):
+                rng = random.Random(f"{seed}/long/{d}")
+                inputs.noisy_frames(inputs.random_keys(long.FRAMES // per_key, rng), per_key, workloads.NOISE, rng)  # drawn first
+                scenario, steps = inputs.long_plan(long.OBJECTS, long.STEPS, rng)
+                inputs.write_json(tmp_path / "scenario.json", scenario)
+                inputs.write_json(tmp_path / "plan.json", steps)
+                start, _, cfg = load_scenario(tmp_path / "scenario.json")
+                world = start
+                for i, step in enumerate(load_plan(tmp_path / "plan.json").steps):
+                    world, reason = apply_primitive(world, step, cfg)
+                    assert reason is None, (seed, d, i, reason)
+                    assert check_invariants(world, start) == [], (seed, d, i)
+                    states += 1
+        assert states == 2 * long.DEMOS * long.STEPS
 
 
 class TestReasonSignature:
