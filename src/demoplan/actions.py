@@ -148,7 +148,6 @@ def window_filter(stream: PrimitiveStream, w: int) -> KeySequence:
     # A label absent from the stream keeps an empty deque, which a rescan passes over.
     at = {p: deque() for p in PRIMITIVES}
     queues = list(at.values())
-    label = {id(q): p for p, q in at.items()}
     qs = list(map(at.__getitem__, frames))
     for j, q in enumerate(qs[: w + 1]):
         q.append(j)
@@ -169,8 +168,8 @@ def window_filter(stream: PrimitiveStream, w: int) -> KeySequence:
             mq = into
         else:
             continue
-        if label[id(mq)] != keys[-1]:
-            keys.append(label[id(mq)])
+        if frames[mq[0]] != keys[-1]:  # a deque holds only its label's positions, so its head frame names the mode
+            keys.append(frames[mq[0]])
     return KeySequence(tuple(keys))
 
 

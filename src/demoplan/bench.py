@@ -33,21 +33,33 @@ class BenchConfig:
     lexicon: Path = field(default_factory=fixtures.lexicon_path)
     calibration: Path = field(default_factory=fixtures.calibration_path)
 
+    def __post_init__(self) -> None:
+        if self.trials < 1:
+            raise ValueError("trials must be >= 1")
+        # a trial's own stream stages refuse a bad noise_rate, frames_per_key or window_width, here on one key
+        window_filter(synthesize_stream(keys_from_names(["idle"]), self.frames_per_key, self.noise_rate, self.seed), self.window_width)
+
 
 @dataclass
 class TaskResult:
-    trials: int = 0
     successes: int = 0
     executed_steps: int = 0
     failures: Counter = field(default_factory=Counter)
 
     @property
-    def success_rate(self) -> float:
-        return self.successes / self.trials if self.trials else 0.0
+    def trials(self) -> int:
+        return self.successes + sum(self.failures.values())
 
-    @property
-    def mean_steps(self) -> float:
-        return self.executed_steps / self.trials if self.trials else 0.0
+    def row(self) -> dict:
+        """The task's summary.json entry; results_tsv prints its bench.tsv line from it."""
+        trials = self.trials
+        return {
+            "trials": trials,
+            "successes": self.successes,
+            "success_rate": self.successes / trials,
+            "mean_steps": self.executed_steps / trials,
+            "failures": dict(sorted(self.failures.items())),
+        }
 
 
 def run_trial(inputs: tuple, model: CooccurrenceModel, seed: int, cfg: BenchConfig) -> tuple[str | None, int]:
@@ -91,7 +103,6 @@ def run_benchmark(cfg: BenchConfig) -> dict[str, TaskResult]:
         for trial in range(cfg.trials):
             seed = cfg.seed + task_index * cfg.trials + trial
             reason, steps = run_trial(inputs, model, seed, cfg)
-            result.trials += 1
             result.executed_steps += steps
             if reason is None:
                 result.successes += 1
@@ -104,39 +115,16 @@ def run_benchmark(cfg: BenchConfig) -> dict[str, TaskResult]:
 def results_tsv(results: dict[str, TaskResult]) -> str:
     lines = ["task\ttrials\tsuccesses\tsuccess_rate\tmean_steps\tfailures"]
     for task, r in results.items():
-        failures = ";".join(f"{reason} x{count}" for reason, count in sorted(r.failures.items()))
-        lines.append(
-            f"{task}\t{r.trials}\t{r.successes}\t{r.success_rate:.4f}\t{r.mean_steps:.2f}\t{failures}"
-        )
+        row = r.row()
+        row["failures"] = ";".join(f"{reason} x{count}" for reason, count in row["failures"].items())
+        lines.append("{}\t{trials}\t{successes}\t{success_rate:.4f}\t{mean_steps:.2f}\t{failures}".format(task, **row))
     return "\n".join(lines) + "\n"
-
-
-def summary_doc(cfg: BenchConfig, results: dict[str, TaskResult]) -> dict:
-    return {
-        "config": {
-            "trials": cfg.trials,
-            "noise_rate": cfg.noise_rate,
-            "window_width": cfg.window_width,
-            "seed": cfg.seed,
-            "frames_per_key": cfg.frames_per_key,
-        },
-        "tasks": {
-            task: {
-                "trials": r.trials,
-                "successes": r.successes,
-                "success_rate": r.success_rate,
-                "mean_steps": r.mean_steps,
-                "failures": dict(sorted(r.failures.items())),
-            }
-            for task, r in results.items()
-        },
-    }
 
 
 def write_outputs(cfg: BenchConfig, results: dict[str, TaskResult], out_dir: str | Path) -> None:
     """Write bench.tsv and summary.json into out_dir, which must exist."""
     out = Path(out_dir)
     (out / "bench.tsv").write_text(results_tsv(results), encoding="utf-8")
-    (out / "summary.json").write_text(
-        json.dumps(summary_doc(cfg, results), indent=2, sort_keys=True) + "\n", encoding="utf-8"
-    )
+    config = {name: getattr(cfg, name) for name in ("trials", "noise_rate", "window_width", "seed", "frames_per_key")}
+    summary = {"config": config, "tasks": {task: r.row() for task, r in results.items()}}
+    (out / "summary.json").write_text(json.dumps(summary, indent=2, sort_keys=True) + "\n", encoding="utf-8")

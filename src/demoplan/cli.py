@@ -22,7 +22,7 @@ from pathlib import Path
 
 from . import bench as bench_mod
 from . import fixtures
-from .actions import keys_from_names, load_label_stream, synthesize_stream, window_filter
+from .actions import load_label_stream, window_filter
 from .knowledge import build_model, load_corpus, load_lexicon, stats_tsv
 from .planner import BindingError, bind_plan, dump_plan, load_plan, plan_text, validate_plan
 from .pose import load_calibration, load_mask_file, sense_scene
@@ -97,10 +97,6 @@ def cmd_bench(args: argparse.Namespace) -> int:
         lexicon=Path(args.lexicon),
         calibration=Path(args.calibration),
     )
-    if cfg.trials < 1:
-        raise ValueError("trials must be >= 1")
-    # a trial's own stream stages refuse a bad --noise or --window-width, here on one key before --out is made
-    window_filter(synthesize_stream(keys_from_names(["idle"]), cfg.frames_per_key, cfg.noise_rate, cfg.seed), cfg.window_width)
     if args.out:  # an unwritable directory fails before any trial runs
         Path(args.out).mkdir(parents=True, exist_ok=True)
     results = bench_mod.run_benchmark(cfg)

@@ -1,8 +1,10 @@
+import math
+
 import pytest
 
 from demoplan import fixtures
 from demoplan.actions import keys_from_names
-from demoplan.bench import BenchConfig, run_trial
+from demoplan.bench import BenchConfig, run_benchmark, run_trial
 from demoplan.knowledge import build_model, load_corpus, load_lexicon
 from demoplan.pose import load_calibration, load_mask_file, sense_scene
 from demoplan.sim import load_scenario
@@ -36,3 +38,27 @@ class TestRunTrial:
         poses = sense_scene(load_mask_file(fixtures.masks_path(masks_task)), load_calibration(fixtures.calibration_path()))
         inputs = keys_from_names(names), poses, load_scenario(fixtures.scenario_path(scenario_task))
         assert run_trial(inputs, model, 0, BenchConfig()) == (reason, steps)
+
+
+class TestBenchConfig:
+    """A config refuses its own bad settings, wherever it is built, so every result has at least one trial."""
+
+    @pytest.mark.parametrize(
+        "setting, message",
+        [
+            ({"trials": 0}, "trials must be >= 1"),
+            ({"noise_rate": 1.5}, "noise_rate must lie in [0, 1]"),
+            ({"noise_rate": math.nan}, "noise_rate must lie in [0, 1]"),
+            ({"window_width": 0}, "window width must be >= 1"),
+            ({"frames_per_key": 0}, "frames_per_key must be >= 1"),
+        ],
+        ids=["trials", "noise_rate", "noise_rate_nan", "window_width", "frames_per_key"],
+    )
+    def test_a_bad_setting_is_refused(self, setting, message):
+        with pytest.raises(ValueError) as exc:
+            BenchConfig(**setting)
+        assert str(exc.value) == message
+
+    def test_each_task_counts_every_trial(self):
+        results = run_benchmark(BenchConfig(trials=3, noise_rate=0.3, seed=5))
+        assert {task: r.trials for task, r in results.items()} == dict.fromkeys(fixtures.TASKS, 3)

@@ -9,6 +9,7 @@ import json
 import math
 import operator
 import os
+import re
 import threading
 from pathlib import Path
 
@@ -192,6 +193,22 @@ def test_each_subcommand_keeps_its_options():
         },
         "corpus": {**helps, **knowledge},
     }
+
+
+def test_readme_synopsis_shows_each_numeric_default():
+    """Every [--opt NUMBER] in README's CLI block is that subcommand's parser default."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("## CLI", 1)[1].split("```")[1]
+    sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    shown = []
+    for line in block.splitlines():
+        if line.startswith("demoplan "):
+            command = line.split()[1]
+        for option, number in re.findall(r"\[(--[a-z-]+) ([0-9.]+)\]", line):
+            shown.append((command, option, float(number)))
+    assert len(shown) == 6, shown
+    defaults = [(c, o, sub.choices[c]._option_string_actions[o].default) for c, o, _ in shown]
+    assert shown == defaults
 
 
 class TestPlan:
